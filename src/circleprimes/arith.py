@@ -1,14 +1,19 @@
 """Exact integer primitives: primality, factorization, divisor machinery.
 
-Everything here is deterministic and exact. Python integers are arbitrary
-precision, so no value ever overflows; the only size limits in this
-package are the explicit caps in :mod:`circleprimes.circlemap`.
+Everything here is deterministic, and exact with one stated exception:
+at or above psi_13 (about 3.3e24) ``is_prime`` is a strong probable prime
+test to 13 bases, and ``factorize`` trusts it for its cofactors.  Python
+integers are arbitrary precision, so no value ever overflows; the only
+size limits in this package are the explicit caps in
+:mod:`circleprimes.circlemap`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from typing import Iterator
 
 __all__ = [
     "Factorization",
@@ -18,6 +23,7 @@ __all__ = [
     "is_prime",
     "mod_pow",
     "moebius",
+    "odd_composite_segments",
     "primes_up_to",
     "totient",
 ]
@@ -72,34 +78,61 @@ def gcd(a: int, b: int) -> int:
     return math.gcd(a, b)
 
 
-# Strong-probable-prime witnesses making the test deterministic for every
-# n < 3_317_044_064_679_887_385_961_981, comfortably past 2**64.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
     47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
 )
+# one gcd with this product is trial division by every small prime at once
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
+# 101 is the next prime: a composite below 101**2 has a factor in _SMALL_PRIMES
+_TRIAL_DECIDES_BELOW = 101 * 101
+
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# (psi_t, t): psi_t is the least odd composite that is a strong probable
+# prime to each of the first t prime bases (OEIS A014233), so below psi_t
+# those t bases prove primality.  psi_1 = 2047 lies below
+# _TRIAL_DECIDES_BELOW; psi_7 = psi_8 and psi_9 = psi_10 = psi_11, so
+# those tiers add nothing and are left out.
+_WITNESS_TIERS = (
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test.
+    """Primality by trial division, then strong-probable-prime rounds.
 
-    Trial division by small primes, then strong-probable-prime rounds on a
-    fixed witness set; exact (never probabilistic) for all n below the
-    witness-set bound, which covers the full 64-bit range.
+    Exact for every n below psi_13 = 3,317,044,064,679,887,385,961,981:
+    n is tested on the shortest prefix of the bases 2, 3, 5, ..., 41 that
+    is proven to leave no strong pseudoprime below n, so a prime below
+    1,373,653 costs two modular powers and one below 101**2 none.  At or
+    above that bound the answer is a strong probable prime test to all 13
+    bases and nothing more; psi_13 itself is composite and passes it.
     """
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
+    if math.gcd(n, _SMALL_PRIMORIAL) != 1:
+        return n in _SMALL_PRIMES
+    if n < _TRIAL_DECIDES_BELOW:
+        return True
+    witnesses = _WITNESSES
+    for bound, count in _WITNESS_TIERS:
+        if n < bound:
+            witnesses = _WITNESSES[:count]
+            break
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _WITNESSES:
+    for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -228,13 +261,41 @@ def totient(n: int) -> int:
     return out
 
 
+# odd numbers per sieve segment: 32 KiB of flags, small enough for the cache
+_SEGMENT = 1 << 15
+_COMPOSITE_TO_PRIME = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def odd_composite_segments(limit: int) -> Iterator[tuple[range, bytearray]]:
+    """Segmented sieve of Eratosthenes over the odd numbers 3..limit.
+
+    Yields (odds, composite) in ascending order, where odds is a range of
+    consecutive odd numbers and composite[i] is 1 iff odds[i] is
+    composite.  Memory is O(sqrt(limit) + _SEGMENT): the odd primes up to
+    sqrt(limit), themselves sieved by primes_up_to, and one segment.
+    """
+    sieving = primes_up_to(math.isqrt(limit))[1:]
+    for lo in range(3, limit + 1, 2 * _SEGMENT):
+        odds = range(lo, min(lo + 2 * _SEGMENT, limit + 1), 2)
+        composite = bytearray(len(odds))
+        for p in sieving:
+            square = p * p
+            if square > odds[-1]:
+                break
+            if square >= lo:
+                i = (square - lo) // 2
+            else:
+                # lo + 2*i == 0 (mod p); (p + 1) // 2 inverts 2 mod p
+                i = -lo * ((p + 1) // 2) % p
+            composite[i::p] = b"\x01" * len(range(i, len(odds), p))
+        yield odds, composite
+
+
 def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, ascending (simple byte sieve)."""
+    """All primes <= limit, ascending."""
     if limit < 2:
         return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, alive in enumerate(sieve) if alive]
+    primes = [2]
+    for odds, composite in odd_composite_segments(limit):
+        primes += compress(odds, composite.translate(_COMPOSITE_TO_PRIME))
+    return primes

@@ -500,7 +500,12 @@ def _odd_semiprimes(max_n: int) -> list[tuple[int, int, int]]:
 def _build_tasks(config: SweepConfig) -> list[Callable[[], ClaimResult]]:
     """One zero-argument callable per parameter tuple, in canonical order:
     claim, then base, then n, then auxiliary parameters."""
-    families = {b: _pseudoprime_families(b, config.max_n) for b in config.bases}
+    # T2 draws its tuples from semiprimes; only the other claims read families
+    needs_families = any(c is not ClaimId.T2 for c in config.claims)
+    families = {
+        b: _pseudoprime_families(b, config.max_n) if needs_families else ([], [], [])
+        for b in config.bases
+    }
     semiprimes = (
         _odd_semiprimes(config.max_n) if ClaimId.T2 in config.claims else []
     )

@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from typing import Iterable
 
 from .circlemap import ENUM_CAP_ENV, ResourceLimitError, fixed_points, period_spectrum
 from .claims import (
@@ -61,8 +62,11 @@ def _claim_list(text: str) -> tuple[ClaimId, ...]:
     return tuple(ids)
 
 
-def _emit_rows(rows: list[dict], fields: tuple[str, ...], fmt: str, out) -> None:
-    """Line-delimited json objects, or csv with a header even when empty."""
+def _emit_rows(rows: Iterable[dict], fields: tuple[str, ...], fmt: str, out) -> None:
+    """Line-delimited json objects, or csv with a header even when empty.
+
+    Each row is written as soon as the iterable yields it.
+    """
     if fmt == "json":
         for row in rows:
             print(json.dumps(row), file=out)
@@ -138,20 +142,22 @@ def _cmd_verify(args) -> int:
     )
     if args.records:
         failures = 0
-        rows = []
-        for result in iter_suite(config, threads=args.threads):
-            if result.verdict is Verdict.FAILS:
-                failures += 1
-            record = result.as_record()
-            if args.format == "plain":
+
+        def records():
+            nonlocal failures
+            for result in iter_suite(config, threads=args.threads):
+                if result.verdict is Verdict.FAILS:
+                    failures += 1
+                yield result.as_record()
+
+        if args.format == "plain":
+            for record in records():
                 line = f"{record['claim_id']} {record['params']} {record['verdict']}"
                 if record["witness"]:
                     line += f" witness: {record['witness']}"
                 print(line)
-            else:
-                rows.append(record)
-        if args.format != "plain":
-            _emit_rows(rows, ("claim_id", "params", "verdict", "witness"), args.format, sys.stdout)
+        else:
+            _emit_rows(records(), ("claim_id", "params", "verdict", "witness"), args.format, sys.stdout)
         return 1 if failures else 0
 
     report = run_suite(config, threads=args.threads)

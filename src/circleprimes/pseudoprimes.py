@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
-from .arith import Factorization, factorize, gcd, is_prime, mod_pow, totient
+from .arith import Factorization, factorize, gcd, is_prime, mod_pow, odd_composite_segments, totient
 
 __all__ = [
     "PseudoprimeRecord",
@@ -60,14 +61,21 @@ def is_pseudoprime(k: int, n: int, *, allow_even: bool = False) -> bool:
 
 
 def enumerate_pseudoprimes(k: int, limit: int) -> list[int]:
-    """All base-k pseudoprimes up to limit, ascending."""
+    """All base-k pseudoprimes up to limit, ascending.
+
+    The odd composites come from the segmented sieve, so no primality
+    test runs; memory is O(sqrt(limit)) plus one sieve segment.  The
+    congruence alone implies gcd(k, n) == 1, and leaving out a gcd
+    shortcut makes every base cost the same, one pow per odd composite.
+    """
     if k < 2:
         raise ValueError(f"base must be > 1, got {k}")
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
-    # 9 is the smallest odd composite; the congruence check is cheapest,
-    # so primality only runs on the few survivors.
-    return [n for n in range(9, limit + 1, 2) if is_pseudoprime(k, n)]
+    hits: list[int] = []
+    for odds, composite in odd_composite_segments(limit):
+        hits += [n for n in compress(odds, composite) if pow(k, n - 1, n) == 1]
+    return hits
 
 
 def is_carmichael(n: int) -> bool:

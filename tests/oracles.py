@@ -3,7 +3,10 @@
 Everything here is deliberately naive and shares no code with the
 library: repeated multiplication instead of fast powering, trial division
 instead of witness tests, step-by-step map iteration instead of divisor
-criteria.  Slow is fine; independent is the point.
+criteria.  Slow is fine; independent is the point.  The one exception is
+lucas_is_prime, for numbers too large for trial division: it uses the
+built-in three-argument pow, but proves every answer with a Fermat
+witness, a factor, or a Lucas certificate.
 """
 
 from math import gcd, isqrt
@@ -110,6 +113,77 @@ def naive_pseudoprime_sweep(k: int, limit: int) -> list[int]:
             continue
         if gcd(k, n) != 1:
             continue
-        if naive_mod_pow(k, n - 1, n) == 1 % n:
+        # k is a unit mod n, so its powers return to 1 after ord(k) steps,
+        # and k**(n-1) == 1 (mod n) exactly when ord(k) divides n - 1
+        acc, order = k % n, 1
+        while acc != 1:
+            acc = acc * k % n
+            order += 1
+        if (n - 1) % order == 0:
             hits.append(n)
     return hits
+
+
+_TRIAL_PRIME_LIMIT = 10**10
+
+
+def lucas_is_prime(n: int) -> bool:
+    """Exact primality with a certificate rather than a witness set.
+
+    Trial division settles n below 10**10.  Above it a Fermat witness,
+    a**(n-1) != 1 (mod n), or a factor found by rho proves n composite,
+    and Lucas's theorem proves it prime: some a has a**(n-1) == 1 while
+    a**((n-1)/q) != 1 for every prime q dividing n - 1.  Those q come
+    from rho_factor, which certifies each of them with this same
+    function.
+    """
+    if n < _TRIAL_PRIME_LIMIT:
+        return trial_division_is_prime(n)
+    if pow(2, n - 1, n) != 1:
+        return False
+    qs = set(rho_factor(n - 1))
+    for a in range(2, 1000):
+        if pow(a, n - 1, n) != 1:
+            return False
+        if all(pow(a, (n - 1) // q, n) != 1 for q in qs):
+            return True
+    # every base below 1000 passes Fermat, yet none has order n - 1:
+    # a Carmichael-like composite, which rho splits (or this raises)
+    rho_split(n)
+    return False
+
+
+def rho_split(n: int) -> int:
+    """A proper factor of the odd composite n, by Floyd's cycle-finding rho."""
+    for c in range(1, 100):
+        x = y = 2
+        g = 1
+        while g == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = gcd(abs(x - y), n)
+        if g != n:
+            return g
+    raise ArithmeticError(f"rho failed to split {n}")
+
+
+def rho_factor(n: int) -> list[int]:
+    """Prime factors of n >= 2 with multiplicity, ascending: trial
+    division below 10**5, then rho_split on the rest."""
+    out = []
+    d = 2
+    while d < 10**5 and d * d <= n:
+        while n % d == 0:
+            out.append(d)
+            n //= d
+        d += 1
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if lucas_is_prime(m):
+            out.append(m)
+        else:
+            f = rho_split(m)
+            stack += [f, m // f]
+    return sorted(out)

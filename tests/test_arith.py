@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from circleprimes import arith
 from circleprimes.arith import (
     Factorization,
     divisors,
@@ -8,17 +11,30 @@ from circleprimes.arith import (
     is_prime,
     mod_pow,
     moebius,
+    odd_composite_segments,
     primes_up_to,
     totient,
 )
 from oracles import (
     brute_divisors,
+    lucas_is_prime,
     naive_mod_pow,
     naive_moebius,
     naive_totient,
     prime_sieve,
     trial_division_is_prime,
 )
+
+
+# OEIS A014233: psi_t, the least odd composite that is a strong probable
+# prime to each of the first t prime bases, for t = 1..13
+A014233 = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
+PSI_13 = A014233[-1]
 
 
 class TestModPow:
@@ -84,10 +100,22 @@ class TestIsPrime:
         assert is_prime(18446744073709551557)  # largest prime below 2**64
 
     def test_strong_pseudoprime_composites(self):
-        # composite despite fooling the first nine prime bases
-        assert not is_prime(3825123056546413051)
-        # composite despite fooling bases 2..17
-        assert not is_prime(341550071728321)
+        # each psi_t fools the first t prime bases, psi_12 fools 2..37
+        for psi in sorted(set(A014233[:12])):
+            assert not lucas_is_prime(psi), psi
+            assert not is_prime(psi), psi
+
+    def test_agrees_with_oracle_around_witness_tiers(self):
+        # at psi_13 and above is_prime is only a probable prime test
+        for psi in sorted(set(A014233)):
+            for n in range(psi - 50, min(psi + 51, PSI_13)):
+                assert is_prime(n) == lucas_is_prime(n), n
+
+    @seed(20170401)
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(st.integers(min_value=0, max_value=10**7 - 1))
+    def test_agrees_with_trial_division_property(self, n):
+        assert is_prime(n) == trial_division_is_prime(n)
 
 
 class TestFactorize:
@@ -122,6 +150,11 @@ class TestFactorize:
     def test_large_prime_power(self):
         f = factorize(1000003**2)
         assert f.factors == ((1000003, 2),)
+
+    def test_psi_12(self):
+        # a strong pseudoprime to bases 2..37 split into two 12-digit primes
+        f = factorize(318665857834031151167461)
+        assert f.factors == ((399165290221, 1), (798330580441, 1))
 
 
 class TestFactorizationType:
@@ -205,3 +238,19 @@ class TestPrimesUpTo:
         assert primes_up_to(2000) == [
             n for n in range(2001) if trial_division_is_prime(n)
         ]
+
+    def test_segment_edges(self, monkeypatch):
+        # 8 odd numbers per segment: segments start at 3, 19, 35, ...
+        monkeypatch.setattr(arith, "_SEGMENT", 8)
+        primes = [n for n in range(400) if trial_division_is_prime(n)]
+        for start in range(3, 400, 16):
+            for limit in range(start - 2, start + 3):
+                assert primes_up_to(limit) == [p for p in primes if p <= limit], limit
+
+    def test_segments_cover_the_odd_numbers(self, monkeypatch):
+        monkeypatch.setattr(arith, "_SEGMENT", 8)
+        seen = []
+        for odds, composite in odd_composite_segments(1000):
+            assert len(odds) == len(composite) <= 8
+            seen += [(n, bool(c)) for n, c in zip(odds, composite)]
+        assert seen == [(n, not trial_division_is_prime(n)) for n in range(3, 1001, 2)]

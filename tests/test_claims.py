@@ -2,6 +2,7 @@ from math import gcd
 
 import pytest
 
+import circleprimes.claims as claims
 from circleprimes.arith import factorize, primes_up_to
 from circleprimes.circlemap import pi_mod
 from circleprimes.claims import (
@@ -317,6 +318,14 @@ class TestRunSuite:
         report = run_suite(SweepConfig(bases=(2,), max_n=3000, claims=(ClaimId.T2,)))
         assert report.failure_count == 0
         assert set(report.tallies) == {ClaimId.T2}
+
+    def test_t2_only_sweep_enumerates_no_pseudoprimes(self, monkeypatch):
+        def refuse(k, limit):
+            raise AssertionError("T2 reads no pseudoprime families")
+
+        monkeypatch.setattr(claims, "enumerate_pseudoprimes", refuse)
+        results = list(iter_suite(SweepConfig(bases=(2, 3), max_n=3000, claims=(ClaimId.T2,))))
+        assert results and all(r.claim is ClaimId.T2 for r in results)
 
     def test_deterministic_order(self):
         config = SweepConfig(bases=(2,), max_n=700)

@@ -171,6 +171,35 @@ class TestVerifyCommand:
         assert len(json_rows) == len(csv_rows) == 660
         assert json_rows == csv_rows  # every field is a string already
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_records_rows_leave_as_they_arrive(self, capsys, monkeypatch, fmt):
+        first = ClaimResult(ClaimId.T1, (("k", 2), ("n", 341)), Verdict.HOLDS)
+        second = ClaimResult(ClaimId.T1, (("k", 2), ("n", 561)), Verdict.HOLDS)
+        printed_before_second = []
+
+        def results(config, threads):
+            yield first
+            printed_before_second.append(capsys.readouterr().out)
+            yield second
+
+        monkeypatch.setattr(cli, "iter_suite", results)
+        code, rest, _ = run_cli(
+            capsys, "verify", "--base", "2", "--max-n", "600", "--records", "--format", fmt
+        )
+        assert code == 0
+        early = printed_before_second[0]
+        rows = parse_json_lines(early) if fmt == "json" else parse_csv(early)
+        assert rows == [first.as_record()]
+        assert "561" not in early and "561" in rest
+
+    def test_records_csv_header_when_empty(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "iter_suite", lambda config, threads: iter(()))
+        code, out, _ = run_cli(
+            capsys, "verify", "--base", "2", "--max-n", "600", "--records", "--format", "csv"
+        )
+        assert code == 0
+        assert out == "claim_id,params,verdict,witness\n"
+
     def test_summary_json_csv_equality(self, capsys):
         args = ("verify", "--base", "2", "--max-n", "700")
         _, json_out, _ = run_cli(capsys, *args, "--format", "json")

@@ -2,6 +2,7 @@ from math import gcd
 
 import pytest
 
+from circleprimes import arith
 from circleprimes.arith import is_prime, totient
 from circleprimes.pseudoprimes import (
     enumerate_pseudoprimes,
@@ -85,6 +86,20 @@ class TestEnumeratePseudoprimes:
         regenerated = naive_pseudoprime_sweep(2, 5000)
         assert regenerated == GOLDEN_BASE2_5000
         assert enumerate_pseudoprimes(2, 5000) == GOLDEN_BASE2_5000
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_agrees_with_naive_sweep(self, k):
+        assert enumerate_pseudoprimes(k, 2 * 10**4) == naive_pseudoprime_sweep(k, 2 * 10**4)
+
+    def test_segment_edges(self, monkeypatch):
+        # 8 odd numbers per segment: segments start at 3 + 16*j, so the
+        # pseudoprimes 1105 and 1729 each end a segment
+        monkeypatch.setattr(arith, "_SEGMENT", 8)
+        hits = naive_pseudoprime_sweep(2, 2000)
+        for start in range(3, 2000, 16):
+            for limit in range(max(2, start - 2), start + 3):
+                want = [n for n in hits if n <= limit]
+                assert enumerate_pseudoprimes(2, limit) == want, limit
 
     def test_ascending_no_duplicates(self):
         for k in (2, 3, 5):
