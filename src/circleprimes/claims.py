@@ -16,16 +16,21 @@ Checks report a verdict instead of raising on data-dependent conditions:
 
 Structurally invalid inputs (a non-prime factor, repeated factors, a base
 below 2, an auxiliary parameter outside its domain) raise ValueError.
+
+The public ``check_*`` functions validate their inputs and the
+pseudoprime precondition, then call a private kernel that only computes.
+The sweep (iter_suite) trusts its own construction: its pseudoprimes come
+from enumerate_pseudoprimes with factors from factorize, its semiprimes
+from sieved primes, so it calls the kernels directly.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from itertools import product
 from math import isqrt
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .arith import factorize, gcd, is_prime, primes_up_to
 from .circlemap import pi_mod
@@ -121,12 +126,10 @@ def _params(**kv: int) -> tuple[tuple[str, int], ...]:
     return tuple(kv.items())
 
 
-def _require_base(k: int) -> None:
+def _require_base_and_primes(k: int, *ns: int) -> None:
+    """A base above 1 and distinct prime factors, or ValueError."""
     if k < 2:
         raise ValueError(f"base must be > 1, got {k}")
-
-
-def _require_distinct_primes(*ns: int) -> None:
     for p in ns:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
@@ -153,25 +156,125 @@ def _settle(claim: ClaimId, params, witnesses) -> ClaimResult:
     return ClaimResult(claim, params, Verdict.HOLDS)
 
 
+def _gated(claim: ClaimId, params, k: int, n: int, kernel, *args: int) -> ClaimResult:
+    """The kernel's result if n is a base-k pseudoprime, else not_applicable."""
+    if not is_pseudoprime(k, n):
+        return ClaimResult(claim, params, Verdict.NOT_APPLICABLE)
+    return kernel(claim, params, k, *args)
+
+
+# Kernels: each takes integers that already satisfy its claim's
+# preconditions (a base above 1, distinct prime factors whose product is
+# a base-k pseudoprime, auxiliary parameters in their domain) and returns
+# the result under the given claim id and params.
+
+
+def _t1(claim: ClaimId, params, k: int, n: int) -> ClaimResult:
+    r = (pow(k, n, n) - k - pi_mod(k, n, n)) % n
+    return _settle(claim, params, (
+        None if r == 0 else f"{k}**{n} - {k} - pi_{n} = {r} (mod {n})",
+    ))
+
+
+def _t2(claim: ClaimId, params, k: int, n1: int, n2: int) -> ClaimResult:
+    # n1*n2 is an odd composite coprime to k, so the Fermat congruence
+    # alone decides whether it is a pseudoprime
+    n = n1 * n2
+    left = pow(k, n - 1, n) == 1
+    right = pow(k, n2, n1) == k % n1 and pow(k, n1, n2) == k % n2
+    return _settle(claim, params, (
+        None if left == right else f"pseudoprime={left} but cross-divisibilities={right}",
+    ))
+
+
+def _r24_27(claim: ClaimId, params, k: int, n1: int, n2: int) -> ClaimResult:
+    n = n1 * n2
+    e = abs(n1 - n2)
+    return _settle(claim, params, (
+        _power_minus_k(k, n1, n),
+        _power_minus_k(k, n2, n),
+        _power_minus_one(k, e, n),
+        _power_minus_one(k, e, n1),
+        _power_minus_one(k, e, n2),
+    ))
+
+
+def _ga28_32(claim: ClaimId, params, k: int, n1: int, n2: int, r: int) -> ClaimResult:
+    e_cross1 = abs(n1**r - n2)
+    e_cross2 = abs(n2**r - n1)
+    if e_cross1 == 0 or e_cross2 == 0:
+        return ClaimResult(claim, params, Verdict.DEGENERATE)
+    return _settle(claim, params, (
+        _power_minus_k(k, n1**r, n1),
+        _power_minus_one(k, e_cross1, n1),
+        _power_minus_one(k, e_cross2, n2),
+    ))
+
+
+def _gb33_35(claim: ClaimId, params, k: int, n1: int, n2: int, r: int) -> ClaimResult:
+    n = n1 * n2
+    return _settle(claim, params, (
+        _power_minus_one(k, r * (n1 - 1), n),
+        _power_minus_one(k, r * (n2 - 1), n),
+    ))
+
+
+def _ec36_38(claim: ClaimId, params, k: int, n1: int, n2: int) -> ClaimResult:
+    n = n1 * n2
+    phi = n1 * n2 - n1 - n2 + 1
+    return _settle(claim, params, (
+        _power_minus_one(k, n1 + n2 - 2, n),
+        _power_minus_one(k, phi, n),
+    ))
+
+
+def _ge43(
+    claim: ClaimId, params, k: int, n1: int, n2: int, r: int, s: int, q: int, p: int
+) -> ClaimResult:
+    e = r * n1**q + s * n2**p - (r + s)
+    if e <= 0:
+        return ClaimResult(claim, params, Verdict.DEGENERATE)
+    return _settle(claim, params, (_power_minus_one(k, e, n1 * n2),))
+
+
+def _tp44_47(claim: ClaimId, params, k: int, n1: int, n2: int, n3: int) -> ClaimResult:
+    def sum_witness(d: int) -> str | None:
+        r = (
+            pow(k, n1 * n2, d) + pow(k, n1 * n3, d) + pow(k, n2 * n3, d)
+            - pow(k, n1, d) - pow(k, n2, d) - pow(k, n3, d)
+        ) % d
+        return None if r == 0 else f"six-term power sum = {r} (mod {d})"
+
+    return _settle(claim, params, (
+        sum_witness(n1 * n2 * n3), sum_witness(n1), sum_witness(n2), sum_witness(n3),
+    ))
+
+
+def _tp59_61(
+    claim: ClaimId, params, k: int, n1: int, n2: int, n3: int, m: int, j: int
+) -> ClaimResult:
+    e1 = j * abs(n2 * n3 - n1**m)
+    e2 = j * abs(n1 * n3 - n2**m)
+    e3 = j * abs(n1 * n2 - n3**m)
+    if 0 in (e1, e2, e3):
+        return ClaimResult(claim, params, Verdict.DEGENERATE)
+    return _settle(claim, params, (
+        _power_minus_one(k, e1, n1),
+        _power_minus_one(k, e2, n2),
+        _power_minus_one(k, e3, n3),
+    ))
+
+
 def check_T1(k: int, n: int) -> ClaimResult:
     """n | k**n - k - pi_n, where pi_n counts the exact-period-n points.
 
     Applicable to any base-k pseudoprime n; evaluated with pi_mod so n
     around a few hundred needs no multi-hundred-bit integers.
     """
-    _require_base(k)
+    _require_base_and_primes(k)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    params = _params(k=k, n=n)
-    if not is_pseudoprime(k, n):
-        return ClaimResult(ClaimId.T1, params, Verdict.NOT_APPLICABLE)
-    r = (pow(k, n, n) - k - pi_mod(k, n, n)) % n
-    if r == 0:
-        return ClaimResult(ClaimId.T1, params, Verdict.HOLDS)
-    return ClaimResult(
-        ClaimId.T1, params, Verdict.FAILS,
-        witness=f"{k}**{n} - {k} - pi_{n} = {r} (mod {n})",
-    )
+    return _gated(ClaimId.T1, _params(k=k, n=n), k, n, _t1, n)
 
 
 def t2_sides(k: int, n1: int, n2: int) -> tuple[bool, bool]:
@@ -194,41 +297,22 @@ def check_T2(k: int, n1: int, n2: int) -> ClaimResult:
     definition) while the right-hand divisibilities can still hold, so
     the biconditional is only a theorem over odd factors.
     """
-    _require_base(k)
-    _require_distinct_primes(n1, n2)
+    _require_base_and_primes(k, n1, n2)
     if 2 in (n1, n2):
         raise ValueError("factors must be odd primes; even products are never pseudoprimes")
     n = n1 * n2
     g = gcd(k, n)
     if g != 1:
         raise ValueError(f"base must be coprime to n1*n2, gcd({k}, {n}) = {g}")
-    params = _params(k=k, n1=n1, n2=n2)
-    left, right = t2_sides(k, n1, n2)
-    if left == right:
-        return ClaimResult(ClaimId.T2, params, Verdict.HOLDS)
-    return ClaimResult(
-        ClaimId.T2, params, Verdict.FAILS,
-        witness=f"pseudoprime={left} but cross-divisibilities={right}",
-    )
+    return _t2(ClaimId.T2, _params(k=k, n1=n1, n2=n2), k, n1, n2)
 
 
 def check_R24_27(k: int, n1: int, n2: int) -> ClaimResult:
     """For a two-prime pseudoprime n = n1*n2: n | k**n1 - k, n | k**n2 - k,
     and n, n1, n2 each divide k**|n1 - n2| - 1."""
-    _require_base(k)
-    _require_distinct_primes(n1, n2)
-    n = n1 * n2
+    _require_base_and_primes(k, n1, n2)
     params = _params(k=k, n1=n1, n2=n2)
-    if not is_pseudoprime(k, n):
-        return ClaimResult(ClaimId.R24_27, params, Verdict.NOT_APPLICABLE)
-    e = abs(n1 - n2)
-    return _settle(ClaimId.R24_27, params, (
-        _power_minus_k(k, n1, n),
-        _power_minus_k(k, n2, n),
-        _power_minus_one(k, e, n),
-        _power_minus_one(k, e, n1),
-        _power_minus_one(k, e, n2),
-    ))
+    return _gated(ClaimId.R24_27, params, k, n1 * n2, _r24_27, n1, n2)
 
 
 def check_GA28_32(k: int, n1: int, n2: int, r: int) -> ClaimResult:
@@ -238,73 +322,40 @@ def check_GA28_32(k: int, n1: int, n2: int, r: int) -> ClaimResult:
     Absolute values keep the exponents positive whichever factor is
     larger; a zero exponent is degenerate.
     """
-    _require_base(k)
-    _require_distinct_primes(n1, n2)
+    _require_base_and_primes(k, n1, n2)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    n = n1 * n2
     params = _params(k=k, n1=n1, n2=n2, r=r)
-    if not is_pseudoprime(k, n):
-        return ClaimResult(ClaimId.GA28_32, params, Verdict.NOT_APPLICABLE)
-    e_cross1 = abs(n1**r - n2)
-    e_cross2 = abs(n2**r - n1)
-    if e_cross1 == 0 or e_cross2 == 0:
-        return ClaimResult(ClaimId.GA28_32, params, Verdict.DEGENERATE)
-    return _settle(ClaimId.GA28_32, params, (
-        _power_minus_k(k, n1**r, n1),
-        _power_minus_one(k, e_cross1, n1),
-        _power_minus_one(k, e_cross2, n2),
-    ))
+    return _gated(ClaimId.GA28_32, params, k, n1 * n2, _ga28_32, n1, n2, r)
 
 
 def check_GB33_35(k: int, n1: int, n2: int, r: int) -> ClaimResult:
     """n | k**(r*(ni - 1)) - 1 for i = 1, 2."""
-    _require_base(k)
-    _require_distinct_primes(n1, n2)
+    _require_base_and_primes(k, n1, n2)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    n = n1 * n2
     params = _params(k=k, n1=n1, n2=n2, r=r)
-    if not is_pseudoprime(k, n):
-        return ClaimResult(ClaimId.GB33_35, params, Verdict.NOT_APPLICABLE)
-    return _settle(ClaimId.GB33_35, params, (
-        _power_minus_one(k, r * (n1 - 1), n),
-        _power_minus_one(k, r * (n2 - 1), n),
-    ))
+    return _gated(ClaimId.GB33_35, params, k, n1 * n2, _gb33_35, n1, n2, r)
 
 
 def check_EC36_38(k: int, n1: int, n2: int) -> ClaimResult:
     """n | k**(n1 + n2 - 2) - 1, and independently n | k**phi(n) - 1
     using the two-distinct-prime product rule phi(n) = n1*n2 - n1 - n2 + 1."""
-    _require_base(k)
-    _require_distinct_primes(n1, n2)
-    n = n1 * n2
+    _require_base_and_primes(k, n1, n2)
     params = _params(k=k, n1=n1, n2=n2)
-    if not is_pseudoprime(k, n):
-        return ClaimResult(ClaimId.EC36_38, params, Verdict.NOT_APPLICABLE)
-    phi = n1 * n2 - n1 - n2 + 1
-    return _settle(ClaimId.EC36_38, params, (
-        _power_minus_one(k, n1 + n2 - 2, n),
-        _power_minus_one(k, phi, n),
-    ))
+    return _gated(ClaimId.EC36_38, params, k, n1 * n2, _ec36_38, n1, n2)
 
 
 def check_GC39_42(k: int, n1: int, n2: int, r: int, s: int) -> ClaimResult:
     """n | k**e - 1 with e = r*n1 + s*n2 - (r + s).
 
     r and s range over all integers; tuples with e <= 0 fall outside the
-    identity's domain and come back degenerate.
+    identity's domain and come back degenerate.  This is check_GE43 with
+    q = p = 1 under its own claim id.
     """
-    _require_base(k)
-    _require_distinct_primes(n1, n2)
-    n = n1 * n2
+    _require_base_and_primes(k, n1, n2)
     params = _params(k=k, n1=n1, n2=n2, r=r, s=s)
-    if not is_pseudoprime(k, n):
-        return ClaimResult(ClaimId.GC39_42, params, Verdict.NOT_APPLICABLE)
-    e = r * n1 + s * n2 - (r + s)
-    if e <= 0:
-        return ClaimResult(ClaimId.GC39_42, params, Verdict.DEGENERATE)
-    return _settle(ClaimId.GC39_42, params, (_power_minus_one(k, e, n),))
+    return _gated(ClaimId.GC39_42, params, k, n1 * n2, _ge43, n1, n2, r, s, 1, 1)
 
 
 def check_GE43(
@@ -314,42 +365,20 @@ def check_GE43(
 
     With q = p = 1 this specializes to check_GC39_42.
     """
-    _require_base(k)
-    _require_distinct_primes(n1, n2)
+    _require_base_and_primes(k, n1, n2)
     if q < 1 or p < 1:
         raise ValueError(f"q and p must be >= 1, got q={q}, p={p}")
-    n = n1 * n2
     params = _params(k=k, n1=n1, n2=n2, r=r, s=s, q=q, p=p)
-    if not is_pseudoprime(k, n):
-        return ClaimResult(ClaimId.GE43, params, Verdict.NOT_APPLICABLE)
-    e = r * n1**q + s * n2**p - (r + s)
-    if e <= 0:
-        return ClaimResult(ClaimId.GE43, params, Verdict.DEGENERATE)
-    return _settle(ClaimId.GE43, params, (_power_minus_one(k, e, n),))
+    return _gated(ClaimId.GE43, params, k, n1 * n2, _ge43, n1, n2, r, s, q, p)
 
 
 def check_TP44_47(k: int, n1: int, n2: int, n3: int) -> ClaimResult:
     """For a three-prime pseudoprime n = n1*n2*n3, the six-term sum
     k**(n1*n2) + k**(n1*n3) + k**(n2*n3) - k**n1 - k**n2 - k**n3
     is divisible by n and by each ni."""
-    _require_base(k)
-    _require_distinct_primes(n1, n2, n3)
-    n = n1 * n2 * n3
+    _require_base_and_primes(k, n1, n2, n3)
     params = _params(k=k, n1=n1, n2=n2, n3=n3)
-    if not is_pseudoprime(k, n):
-        return ClaimResult(ClaimId.TP44_47, params, Verdict.NOT_APPLICABLE)
-
-    def sum_witness(d: int) -> str | None:
-        r = (
-            pow(k, n1 * n2, d) + pow(k, n1 * n3, d) + pow(k, n2 * n3, d)
-            - pow(k, n1, d) - pow(k, n2, d) - pow(k, n3, d)
-        ) % d
-        return None if r == 0 else f"six-term power sum = {r} (mod {d})"
-
-    return _settle(
-        ClaimId.TP44_47, params,
-        (sum_witness(n), sum_witness(n1), sum_witness(n2), sum_witness(n3)),
-    )
+    return _gated(ClaimId.TP44_47, params, k, n1 * n2 * n3, _tp44_47, n1, n2, n3)
 
 
 def check_TP48_58(k: int, n1: int, n2: int, n3: int) -> ClaimResult:
@@ -357,24 +386,12 @@ def check_TP48_58(k: int, n1: int, n2: int, n3: int) -> ClaimResult:
     n1 | k**|n2*n3 - n1| - 1, n2 | k**|n1*n3 - n2| - 1, n3 | k**|n1*n2 - n3| - 1.
 
     Absolute values cover the orderings where a product is smaller than
-    the remaining factor; a zero exponent is degenerate.
+    the remaining factor; a zero exponent is degenerate.  This is
+    check_TP59_61 with m = j = 1 under its own claim id.
     """
-    _require_base(k)
-    _require_distinct_primes(n1, n2, n3)
-    n = n1 * n2 * n3
+    _require_base_and_primes(k, n1, n2, n3)
     params = _params(k=k, n1=n1, n2=n2, n3=n3)
-    if not is_pseudoprime(k, n):
-        return ClaimResult(ClaimId.TP48_58, params, Verdict.NOT_APPLICABLE)
-    e1 = abs(n2 * n3 - n1)
-    e2 = abs(n1 * n3 - n2)
-    e3 = abs(n1 * n2 - n3)
-    if 0 in (e1, e2, e3):
-        return ClaimResult(ClaimId.TP48_58, params, Verdict.DEGENERATE)
-    return _settle(ClaimId.TP48_58, params, (
-        _power_minus_one(k, e1, n1),
-        _power_minus_one(k, e2, n2),
-        _power_minus_one(k, e3, n3),
-    ))
+    return _gated(ClaimId.TP48_58, params, k, n1 * n2 * n3, _tp59_61, n1, n2, n3, 1, 1)
 
 
 def check_TP59_61(
@@ -385,24 +402,11 @@ def check_TP59_61(
 
     With m = j = 1 this specializes to check_TP48_58.
     """
-    _require_base(k)
-    _require_distinct_primes(n1, n2, n3)
+    _require_base_and_primes(k, n1, n2, n3)
     if m < 1 or j < 1:
         raise ValueError(f"m and j must be >= 1, got m={m}, j={j}")
-    n = n1 * n2 * n3
     params = _params(k=k, n1=n1, n2=n2, n3=n3, m=m, j=j)
-    if not is_pseudoprime(k, n):
-        return ClaimResult(ClaimId.TP59_61, params, Verdict.NOT_APPLICABLE)
-    e1 = j * abs(n2 * n3 - n1**m)
-    e2 = j * abs(n1 * n3 - n2**m)
-    e3 = j * abs(n1 * n2 - n3**m)
-    if 0 in (e1, e2, e3):
-        return ClaimResult(ClaimId.TP59_61, params, Verdict.DEGENERATE)
-    return _settle(ClaimId.TP59_61, params, (
-        _power_minus_one(k, e1, n1),
-        _power_minus_one(k, e2, n2),
-        _power_minus_one(k, e3, n3),
-    ))
+    return _gated(ClaimId.TP59_61, params, k, n1 * n2 * n3, _tp59_61, n1, n2, n3, m, j)
 
 
 @dataclass(frozen=True)
@@ -497,9 +501,19 @@ def _odd_semiprimes(max_n: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _build_tasks(config: SweepConfig) -> list[Callable[[], ClaimResult]]:
-    """One zero-argument callable per parameter tuple, in canonical order:
-    claim, then base, then n, then auxiliary parameters."""
+def iter_suite(config: SweepConfig, threads: int = 1) -> Iterator[ClaimResult]:
+    """Evaluate every parameter tuple in range, each as it is generated,
+    yielding results in canonical order: claim, then base, then n, then
+    auxiliary parameters.
+
+    The tuples come from pseudoprimes the sweep enumerated and factored
+    itself and from sieved primes, so they go straight to the kernels
+    without the public checks' validation.  Evaluation is single-threaded
+    (it is CPU-bound under the interpreter lock): threads must be >= 1
+    and is otherwise ignored.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     # T2 draws its tuples from semiprimes; only the other claims read families
     needs_families = any(c is not ClaimId.T2 for c in config.claims)
     families = {
@@ -513,83 +527,62 @@ def _build_tasks(config: SweepConfig) -> list[Callable[[], ClaimResult]]:
     pos_r = range(max(1, config.rs_min), config.rs_max + 1)
     qpmj = range(1, config.qpmj_max + 1)
 
-    tasks: list[Callable[[], ClaimResult]] = []
     for claim in config.claims:
-        for base in config.bases:
-            every, two, three = families[base]
+        for k in config.bases:
+            every, two, three = families[k]
             if claim is ClaimId.T1:
                 for n in every:
-                    tasks.append(partial(check_T1, base, n))
+                    yield _t1(claim, _params(k=k, n=n), k, n)
             elif claim is ClaimId.T2:
                 for n, p, q in semiprimes:
-                    if gcd(base, n) == 1:
-                        tasks.append(partial(check_T2, base, p, q))
+                    params = _params(k=k, n1=p, n2=q)
+                    if gcd(k, n) == 1:
+                        yield _t2(claim, params, k, p, q)
                     else:
-                        tasks.append(partial(
-                            ClaimResult, ClaimId.T2,
-                            _params(k=base, n1=p, n2=q), Verdict.NOT_APPLICABLE,
-                        ))
+                        yield ClaimResult(claim, params, Verdict.NOT_APPLICABLE)
             elif claim is ClaimId.R24_27:
                 for _, (p, q) in two:
-                    tasks.append(partial(check_R24_27, base, p, q))
+                    yield _r24_27(claim, _params(k=k, n1=p, n2=q), k, p, q)
             elif claim is ClaimId.GA28_32:
                 # not symmetric in (n1, n2): sweep both orderings
                 for _, (p, q) in two:
-                    for pair in ((p, q), (q, p)):
-                        for r in pos_r:
-                            tasks.append(partial(check_GA28_32, base, *pair, r))
+                    for (n1, n2), r in product(((p, q), (q, p)), pos_r):
+                        yield _ga28_32(claim, _params(k=k, n1=n1, n2=n2, r=r), k, n1, n2, r)
             elif claim is ClaimId.GB33_35:
                 for _, (p, q) in two:
                     for r in pos_r:
-                        tasks.append(partial(check_GB33_35, base, p, q, r))
+                        yield _gb33_35(claim, _params(k=k, n1=p, n2=q, r=r), k, p, q, r)
             elif claim is ClaimId.EC36_38:
                 for _, (p, q) in two:
-                    tasks.append(partial(check_EC36_38, base, p, q))
+                    yield _ec36_38(claim, _params(k=k, n1=p, n2=q), k, p, q)
             elif claim is ClaimId.GC39_42:
                 for _, (p, q) in two:
-                    for r in rs_range:
-                        for s in rs_range:
-                            tasks.append(partial(check_GC39_42, base, p, q, r, s))
+                    for r, s in product(rs_range, repeat=2):
+                        params = _params(k=k, n1=p, n2=q, r=r, s=s)
+                        yield _ge43(claim, params, k, p, q, r, s, 1, 1)
             elif claim is ClaimId.GE43:
                 for _, (p, q) in two:
-                    for r in rs_range:
-                        for s in rs_range:
-                            for qq in qpmj:
-                                for pp in qpmj:
-                                    tasks.append(partial(
-                                        check_GE43, base, p, q, r, s, qq, pp
-                                    ))
+                    for r, s, qq, pp in product(rs_range, rs_range, qpmj, qpmj):
+                        params = _params(k=k, n1=p, n2=q, r=r, s=s, q=qq, p=pp)
+                        yield _ge43(claim, params, k, p, q, r, s, qq, pp)
             elif claim is ClaimId.TP44_47:
-                for _, ps in three:
-                    tasks.append(partial(check_TP44_47, base, *ps))
+                for _, (p, q, t) in three:
+                    yield _tp44_47(claim, _params(k=k, n1=p, n2=q, n3=t), k, p, q, t)
             elif claim is ClaimId.TP48_58:
-                for _, ps in three:
-                    tasks.append(partial(check_TP48_58, base, *ps))
+                for _, (p, q, t) in three:
+                    yield _tp59_61(claim, _params(k=k, n1=p, n2=q, n3=t), k, p, q, t, 1, 1)
             elif claim is ClaimId.TP59_61:
-                for _, ps in three:
-                    for m in qpmj:
-                        for j in qpmj:
-                            tasks.append(partial(check_TP59_61, base, *ps, m, j))
-    return tasks
-
-
-def iter_suite(config: SweepConfig, threads: int = 1) -> Iterator[ClaimResult]:
-    """Evaluate every parameter tuple in range, yielding results in
-    canonical order regardless of thread count."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    tasks = _build_tasks(config)
-    if threads == 1:
-        for task in tasks:
-            yield task()
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # map preserves submission order, so the merge is deterministic
-            yield from pool.map(lambda task: task(), tasks, chunksize=64)
+                for _, (p, q, t) in three:
+                    for m, j in product(qpmj, repeat=2):
+                        params = _params(k=k, n1=p, n2=q, n3=t, m=m, j=j)
+                        yield _tp59_61(claim, params, k, p, q, t, m, j)
 
 
 def run_suite(config: SweepConfig, threads: int = 1) -> SuiteReport:
-    """Run the sweep and aggregate per-claim tallies plus the failure list."""
+    """Run the sweep and aggregate per-claim tallies plus the failure list.
+
+    threads is passed to iter_suite: validated, and otherwise ignored.
+    """
     tallies = {c: {v: 0 for v in Verdict} for c in config.claims}
     failures: list[ClaimResult] = []
     total = 0

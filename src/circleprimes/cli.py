@@ -242,7 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated claim ids (default: all)")
     p.add_argument("--records", action="store_true",
                    help="stream one record per checked tuple")
-    p.add_argument("--threads", type=_int_at_least(1), default=1)
+    p.add_argument("--threads", type=_int_at_least(1), default=1,
+                   help="must be >= 1, otherwise ignored: evaluation is "
+                        "single-threaded and output is the same for every value")
     add_format(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -1,6 +1,8 @@
+import threading
 from math import gcd
 
 import pytest
+from oracles import naive_pseudoprime_sweep, trial_factor
 
 import circleprimes.claims as claims
 from circleprimes.arith import factorize, primes_up_to
@@ -27,6 +29,30 @@ from circleprimes.claims import (
     t2_sides,
 )
 from circleprimes.pseudoprimes import enumerate_pseudoprimes
+
+ORACLE_BASES = (2, 3, 4, 5, 6, 7)
+ORACLE_LIMIT = 3000
+
+
+@pytest.fixture(scope="module")
+def oracle_families():
+    """Per base in ORACLE_BASES: the base-k pseudoprimes up to ORACLE_LIMIT,
+    then the squarefree two-prime and three-prime ones as factor tuples,
+    from the oracles alone."""
+    families = {}
+    for k in ORACLE_BASES:
+        every = naive_pseudoprime_sweep(k, ORACLE_LIMIT)
+        factored = [tuple(trial_factor(n)) for n in every]
+        families[k] = (
+            every,
+            [f for f in factored if len(set(f)) == len(f) == 2],
+            [f for f in factored if len(set(f)) == len(f) == 3],
+        )
+    return families
+
+
+def same_outcome(a: ClaimResult, b: ClaimResult) -> bool:
+    return (a.verdict, a.witness) == (b.verdict, b.witness)
 
 
 class TestClaimResult:
@@ -206,13 +232,16 @@ class TestGE43:
         # e = 242 + 961 - 3 = 1200
         assert check_GE43(2, 11, 31, 2, 1, 2, 2).verdict is Verdict.HOLDS
 
-    def test_specializes_to_gc_at_unit_powers(self):
-        for n1, n2, k in [(11, 31, 2), (7, 13, 3)]:
-            for r in range(-3, 4):
-                for s in range(-3, 4):
-                    ge = check_GE43(k, n1, n2, r, s, 1, 1)
-                    gc = check_GC39_42(k, n1, n2, r, s)
-                    assert ge.verdict == gc.verdict, (k, n1, n2, r, s)
+    def test_specializes_to_gc_at_unit_powers(self, oracle_families):
+        # every two-prime pseudoprime to 3000 in bases 2..7, 341 = 11*31 and
+        # base-3 91 = 7*13 among them; verdict and witness must agree
+        for k, (_, two, _) in oracle_families.items():
+            for n1, n2 in two:
+                for r in range(-3, 4):
+                    for s in range(-3, 4):
+                        ge = check_GE43(k, n1, n2, r, s, 1, 1)
+                        gc = check_GC39_42(k, n1, n2, r, s)
+                        assert same_outcome(ge, gc), (k, n1, n2, r, s)
 
     def test_rejects_bad_powers(self):
         with pytest.raises(ValueError):
@@ -243,12 +272,13 @@ class TestTP48_58:
 
 
 class TestTP59_61:
-    def test_specializes_to_tp48_at_unit_parameters(self):
-        for primes in [(3, 11, 17), (5, 13, 17), (7, 13, 19)]:
-            assert (
-                check_TP59_61(2, *primes, 1, 1).verdict
-                == check_TP48_58(2, *primes).verdict
-            )
+    def test_specializes_to_tp48_at_unit_parameters(self, oracle_families):
+        # every three-prime pseudoprime to 3000 in bases 2..7 (561, 1105,
+        # 1729 among them); verdict and witness must agree
+        for k, (_, _, three) in oracle_families.items():
+            for primes in three:
+                tp59 = check_TP59_61(k, *primes, 1, 1)
+                assert same_outcome(tp59, check_TP48_58(k, *primes)), (k, primes)
 
     def test_examples(self):
         assert check_TP59_61(2, 3, 11, 17, 2, 3).verdict is Verdict.HOLDS
@@ -333,11 +363,36 @@ class TestRunSuite:
         second = list(iter_suite(config))
         assert first == second
 
-    def test_threads_do_not_change_results(self):
+    def test_threads_do_not_change_results(self, monkeypatch):
+        def refuse(thread):
+            raise RuntimeError("the sweep starts no threads")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         config = SweepConfig(bases=(2, 3), max_n=700)
         sequential = list(iter_suite(config, threads=1))
         threaded = list(iter_suite(config, threads=4))
         assert sequential == threaded
+        with pytest.raises(ValueError):
+            next(iter_suite(config, threads=0))
+
+    def test_evaluates_one_tuple_per_result(self, monkeypatch):
+        evaluated = []
+        for name in (
+            "_t1", "_t2", "_r24_27", "_ga28_32", "_gb33_35", "_ec36_38",
+            "_ge43", "_tp44_47", "_tp59_61",
+        ):
+            kernel = getattr(claims, name)
+            monkeypatch.setattr(
+                claims, name,
+                lambda *args, kernel=kernel: evaluated.append(args) or kernel(*args),
+            )
+        results = iter_suite(SweepConfig(bases=(2, 3), max_n=3000))
+        first = next(results)
+        assert first.claim is ClaimId.T1 and len(evaluated) == 1
+        next(results)
+        assert len(evaluated) == 2
+        next(iter_suite(SweepConfig(bases=(2,), max_n=3000, claims=(ClaimId.T2,))))
+        assert len(evaluated) == 3
 
     def test_degenerate_tuples_never_fail(self):
         config = SweepConfig(bases=(2,), max_n=700, rs_min=-3, rs_max=3)
@@ -347,3 +402,81 @@ class TestRunSuite:
         report = run_suite(config)
         assert report.tallies[ClaimId.GC39_42][Verdict.DEGENERATE] > 0
         assert report.failure_count == 0
+
+
+def oracle_suite(families):
+    """What iter_suite must yield for bases ORACLE_BASES up to ORACLE_LIMIT
+    with the default ranges, in canonical order, from the public checks on
+    tuples the oracles built."""
+    rs, pos_r, qpmj = range(-3, 4), range(1, 4), range(1, 4)
+    semiprimes = []
+    for n in range(15, ORACLE_LIMIT + 1, 2):
+        f = trial_factor(n)
+        if len(f) == 2 and f[0] != f[1]:
+            semiprimes.append((n, *f))
+    for claim in ALL_CLAIMS:
+        for k in ORACLE_BASES:
+            every, two, three = families[k]
+            if claim is ClaimId.T1:
+                for n in every:
+                    yield check_T1(k, n)
+            elif claim is ClaimId.T2:
+                for n, p, q in semiprimes:
+                    if gcd(k, n) == 1:
+                        yield check_T2(k, p, q)
+                    else:
+                        with pytest.raises(ValueError):
+                            check_T2(k, p, q)
+                        params = (("k", k), ("n1", p), ("n2", q))
+                        yield ClaimResult(ClaimId.T2, params, Verdict.NOT_APPLICABLE)
+            elif claim is ClaimId.R24_27:
+                for p, q in two:
+                    yield check_R24_27(k, p, q)
+            elif claim is ClaimId.GA28_32:
+                for p, q in two:
+                    for pair in ((p, q), (q, p)):
+                        for r in pos_r:
+                            yield check_GA28_32(k, *pair, r)
+            elif claim is ClaimId.GB33_35:
+                for p, q in two:
+                    for r in pos_r:
+                        yield check_GB33_35(k, p, q, r)
+            elif claim is ClaimId.EC36_38:
+                for p, q in two:
+                    yield check_EC36_38(k, p, q)
+            elif claim is ClaimId.GC39_42:
+                for p, q in two:
+                    for r in rs:
+                        for s in rs:
+                            yield check_GC39_42(k, p, q, r, s)
+            elif claim is ClaimId.GE43:
+                for p, q in two:
+                    for r in rs:
+                        for s in rs:
+                            for qq in qpmj:
+                                for pp in qpmj:
+                                    yield check_GE43(k, p, q, r, s, qq, pp)
+            elif claim is ClaimId.TP44_47:
+                for ps in three:
+                    yield check_TP44_47(k, *ps)
+            elif claim is ClaimId.TP48_58:
+                for ps in three:
+                    yield check_TP48_58(k, *ps)
+            elif claim is ClaimId.TP59_61:
+                for ps in three:
+                    for m in qpmj:
+                        for j in qpmj:
+                            yield check_TP59_61(k, *ps, m, j)
+
+
+class TestSweepOracle:
+    def test_sweep_equals_public_checks_on_oracle_tuples(self, oracle_families):
+        swept = list(iter_suite(SweepConfig(bases=ORACLE_BASES, max_n=ORACLE_LIMIT)))
+        expected = list(oracle_suite(oracle_families))
+        assert len(swept) == len(expected)
+        for got, want in zip(swept, expected):
+            assert got == want
+        not_applicable_t2 = [
+            r for r in swept if r.claim is ClaimId.T2 and r.verdict is Verdict.NOT_APPLICABLE
+        ]
+        assert not_applicable_t2  # bases 3..7 share factors with some semiprimes

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import threading
 
 import pytest
 
@@ -211,7 +212,11 @@ class TestVerifyCommand:
             for field in ("checked", "holds", "fails", "degenerate", "not_applicable"):
                 assert j[field] == int(c[field])
 
-    def test_threads_flag_preserves_output(self, capsys):
+    def test_threads_flag_preserves_output(self, capsys, monkeypatch):
+        def refuse(thread):
+            raise RuntimeError("verify starts no threads")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         args = ("verify", "--base", "2", "--base", "3", "--max-n", "700")
         _, single, _ = run_cli(capsys, *args, "--threads", "1")
         _, multi, _ = run_cli(capsys, *args, "--threads", "4")
