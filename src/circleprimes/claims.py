@@ -17,11 +17,13 @@ Checks report a verdict instead of raising on data-dependent conditions:
 Structurally invalid inputs (a non-prime factor, repeated factors, a base
 below 2, an auxiliary parameter outside its domain) raise ValueError.
 
-The public ``check_*`` functions validate their inputs and the
-pseudoprime precondition, then call a private kernel that only computes.
-The sweep (iter_suite) trusts its own construction: its pseudoprimes come
-from enumerate_pseudoprimes with factors from factorize, its semiprimes
-from sieved primes, so it calls the kernels directly.
+Each claim is one registry row: where its factor tuples come from, its
+auxiliary parameters with their domains, and a private kernel that only
+computes.  The public ``check_*`` functions validate their inputs and the
+pseudoprime precondition from the row, then call the kernel.  The sweep
+(iter_suite) trusts its own construction: its pseudoprimes come from
+enumerate_pseudoprimes with factors from factorize, its semiprimes from
+sieved primes, so it calls the kernels directly.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from math import isqrt
-from typing import Iterator
+from math import gcd, isqrt, prod
+from typing import Callable, Iterator, NamedTuple
 
-from .arith import factorize, gcd, is_prime, primes_up_to
+from .arith import factorize, is_prime, primes_up_to
 from .circlemap import pi_mod
 from .pseudoprimes import enumerate_pseudoprimes, is_pseudoprime
 
@@ -122,10 +124,6 @@ class ClaimResult:
         }
 
 
-def _params(**kv: int) -> tuple[tuple[str, int], ...]:
-    return tuple(kv.items())
-
-
 def _require_base_and_primes(k: int, *ns: int) -> None:
     """A base above 1 and distinct prime factors, or ValueError."""
     if k < 2:
@@ -137,107 +135,89 @@ def _require_base_and_primes(k: int, *ns: int) -> None:
         raise ValueError(f"prime factors must be distinct, got {ns}")
 
 
-def _power_minus_one(k: int, e: int, d: int) -> str | None:
-    """Witness if d does not divide k**e - 1, else None."""
-    r = (pow(k, e, d) - 1) % d
-    return None if r == 0 else f"{k}**{e} - 1 = {r} (mod {d})"
+def _power_witness(k: int, e: int, d: int, c: int = 1) -> str | None:
+    """Witness if d does not divide k**e - c, else None."""
+    r = (pow(k, e, d) - c) % d
+    return None if r == 0 else f"{k}**{e} - {c} = {r} (mod {d})"
 
 
-def _power_minus_k(k: int, e: int, d: int) -> str | None:
-    """Witness if d does not divide k**e - k, else None."""
-    r = (pow(k, e, d) - k) % d
-    return None if r == 0 else f"{k}**{e} - {k} = {r} (mod {d})"
-
-
-def _settle(claim: ClaimId, params, witnesses) -> ClaimResult:
-    for w in witnesses:
-        if w is not None:
-            return ClaimResult(claim, params, Verdict.FAILS, witness=w)
-    return ClaimResult(claim, params, Verdict.HOLDS)
-
-
-def _gated(claim: ClaimId, params, k: int, n: int, kernel, *args: int) -> ClaimResult:
-    """The kernel's result if n is a base-k pseudoprime, else not_applicable."""
-    if not is_pseudoprime(k, n):
-        return ClaimResult(claim, params, Verdict.NOT_APPLICABLE)
-    return kernel(claim, params, k, *args)
+def _result(claim: ClaimId, params, outcome: Verdict | str | None) -> ClaimResult:
+    """The result of a kernel's outcome: a verdict it settled itself, the
+    witness of a failed divisibility, or None when every one holds."""
+    if outcome is None:
+        return ClaimResult(claim, params, Verdict.HOLDS)
+    if isinstance(outcome, Verdict):
+        return ClaimResult(claim, params, outcome)
+    return ClaimResult(claim, params, Verdict.FAILS, witness=outcome)
 
 
 # Kernels: each takes integers that already satisfy its claim's
 # preconditions (a base above 1, distinct prime factors whose product is
 # a base-k pseudoprime, auxiliary parameters in their domain) and returns
-# the result under the given claim id and params.
+# the witness of the first divisibility that fails, None when all hold,
+# or a Verdict for a tuple outside the identity's domain.
 
 
-def _t1(claim: ClaimId, params, k: int, n: int) -> ClaimResult:
+def _t1(k: int, n: int) -> str | None:
     r = (pow(k, n, n) - k - pi_mod(k, n, n)) % n
-    return _settle(claim, params, (
-        None if r == 0 else f"{k}**{n} - {k} - pi_{n} = {r} (mod {n})",
-    ))
+    return None if r == 0 else f"{k}**{n} - {k} - pi_{n} = {r} (mod {n})"
 
 
-def _t2(claim: ClaimId, params, k: int, n1: int, n2: int) -> ClaimResult:
-    # n1*n2 is an odd composite coprime to k, so the Fermat congruence
-    # alone decides whether it is a pseudoprime
+def _t2(k: int, n1: int, n2: int) -> Verdict | str | None:
+    # T2 has no pseudoprime precondition: n1*n2 is any odd semiprime
     n = n1 * n2
+    if gcd(k, n) != 1:
+        return Verdict.NOT_APPLICABLE
+    # n is an odd composite coprime to k, so the Fermat congruence alone
+    # decides whether it is a pseudoprime
     left = pow(k, n - 1, n) == 1
     right = pow(k, n2, n1) == k % n1 and pow(k, n1, n2) == k % n2
-    return _settle(claim, params, (
-        None if left == right else f"pseudoprime={left} but cross-divisibilities={right}",
-    ))
+    return None if left == right else f"pseudoprime={left} but cross-divisibilities={right}"
 
 
-def _r24_27(claim: ClaimId, params, k: int, n1: int, n2: int) -> ClaimResult:
+def _r24_27(k: int, n1: int, n2: int) -> str | None:
     n = n1 * n2
     e = abs(n1 - n2)
-    return _settle(claim, params, (
-        _power_minus_k(k, n1, n),
-        _power_minus_k(k, n2, n),
-        _power_minus_one(k, e, n),
-        _power_minus_one(k, e, n1),
-        _power_minus_one(k, e, n2),
-    ))
+    return (
+        _power_witness(k, n1, n, k) or _power_witness(k, n2, n, k)
+        or _power_witness(k, e, n) or _power_witness(k, e, n1)
+        or _power_witness(k, e, n2)
+    )
 
 
-def _ga28_32(claim: ClaimId, params, k: int, n1: int, n2: int, r: int) -> ClaimResult:
+def _ga28_32(k: int, n1: int, n2: int, r: int) -> Verdict | str | None:
     e_cross1 = abs(n1**r - n2)
     e_cross2 = abs(n2**r - n1)
     if e_cross1 == 0 or e_cross2 == 0:
-        return ClaimResult(claim, params, Verdict.DEGENERATE)
-    return _settle(claim, params, (
-        _power_minus_k(k, n1**r, n1),
-        _power_minus_one(k, e_cross1, n1),
-        _power_minus_one(k, e_cross2, n2),
-    ))
+        return Verdict.DEGENERATE
+    return (
+        _power_witness(k, n1**r, n1, k) or _power_witness(k, e_cross1, n1)
+        or _power_witness(k, e_cross2, n2)
+    )
 
 
-def _gb33_35(claim: ClaimId, params, k: int, n1: int, n2: int, r: int) -> ClaimResult:
+def _gb33_35(k: int, n1: int, n2: int, r: int) -> str | None:
     n = n1 * n2
-    return _settle(claim, params, (
-        _power_minus_one(k, r * (n1 - 1), n),
-        _power_minus_one(k, r * (n2 - 1), n),
-    ))
+    return _power_witness(k, r * (n1 - 1), n) or _power_witness(k, r * (n2 - 1), n)
 
 
-def _ec36_38(claim: ClaimId, params, k: int, n1: int, n2: int) -> ClaimResult:
+def _ec36_38(k: int, n1: int, n2: int) -> str | None:
     n = n1 * n2
     phi = n1 * n2 - n1 - n2 + 1
-    return _settle(claim, params, (
-        _power_minus_one(k, n1 + n2 - 2, n),
-        _power_minus_one(k, phi, n),
-    ))
+    return _power_witness(k, n1 + n2 - 2, n) or _power_witness(k, phi, n)
 
 
 def _ge43(
-    claim: ClaimId, params, k: int, n1: int, n2: int, r: int, s: int, q: int, p: int
-) -> ClaimResult:
+    k: int, n1: int, n2: int, r: int, s: int, q: int = 1, p: int = 1
+) -> Verdict | str | None:
+    # with the default q = p = 1 this is the GC39_42 kernel
     e = r * n1**q + s * n2**p - (r + s)
     if e <= 0:
-        return ClaimResult(claim, params, Verdict.DEGENERATE)
-    return _settle(claim, params, (_power_minus_one(k, e, n1 * n2),))
+        return Verdict.DEGENERATE
+    return _power_witness(k, e, n1 * n2)
 
 
-def _tp44_47(claim: ClaimId, params, k: int, n1: int, n2: int, n3: int) -> ClaimResult:
+def _tp44_47(k: int, n1: int, n2: int, n3: int) -> str | None:
     def sum_witness(d: int) -> str | None:
         r = (
             pow(k, n1 * n2, d) + pow(k, n1 * n3, d) + pow(k, n2 * n3, d)
@@ -245,24 +225,78 @@ def _tp44_47(claim: ClaimId, params, k: int, n1: int, n2: int, n3: int) -> Claim
         ) % d
         return None if r == 0 else f"six-term power sum = {r} (mod {d})"
 
-    return _settle(claim, params, (
-        sum_witness(n1 * n2 * n3), sum_witness(n1), sum_witness(n2), sum_witness(n3),
-    ))
+    return sum_witness(n1 * n2 * n3) or sum_witness(n1) or sum_witness(n2) or sum_witness(n3)
 
 
 def _tp59_61(
-    claim: ClaimId, params, k: int, n1: int, n2: int, n3: int, m: int, j: int
-) -> ClaimResult:
+    k: int, n1: int, n2: int, n3: int, m: int = 1, j: int = 1
+) -> Verdict | str | None:
+    # with the default m = j = 1 this is the TP48_58 kernel
     e1 = j * abs(n2 * n3 - n1**m)
     e2 = j * abs(n1 * n3 - n2**m)
     e3 = j * abs(n1 * n2 - n3**m)
     if 0 in (e1, e2, e3):
-        return ClaimResult(claim, params, Verdict.DEGENERATE)
-    return _settle(claim, params, (
-        _power_minus_one(k, e1, n1),
-        _power_minus_one(k, e2, n2),
-        _power_minus_one(k, e3, n3),
-    ))
+        return Verdict.DEGENERATE
+    return (
+        _power_witness(k, e1, n1) or _power_witness(k, e2, n2)
+        or _power_witness(k, e3, n3)
+    )
+
+
+class _Row(NamedTuple):
+    source: str
+    aux: tuple[tuple[str, str], ...]
+    kernel: Callable[..., Verdict | str | None]
+
+
+# A row's source names where the sweep draws its factor tuples and what
+# they are called in params: every base-k pseudoprime n, the odd
+# semiprimes n1 < n2 (for every base), and the squarefree two-prime
+# (once, or in both orders) and three-prime pseudoprimes.
+_FACTOR_NAMES: dict[str, tuple[str, ...]] = {
+    "every": ("n",),
+    "semiprimes": ("n1", "n2"),
+    "two": ("n1", "n2"),
+    "two_both_orders": ("n1", "n2"),
+    "three": ("n1", "n2", "n3"),
+}
+
+# Auxiliary parameters are (name, domain): "rs" is any integer (swept over
+# rs_min..rs_max), "rs>=1" the same range clamped to >= 1, and "qpmj" is
+# 1..qpmj_max.  Only "rs" admits values below 1.
+_REGISTRY: dict[ClaimId, _Row] = {
+    ClaimId.T1: _Row("every", (), _t1),
+    ClaimId.T2: _Row("semiprimes", (), _t2),
+    ClaimId.R24_27: _Row("two", (), _r24_27),
+    # not symmetric in (n1, n2)
+    ClaimId.GA28_32: _Row("two_both_orders", (("r", "rs>=1"),), _ga28_32),
+    ClaimId.GB33_35: _Row("two", (("r", "rs>=1"),), _gb33_35),
+    ClaimId.EC36_38: _Row("two", (), _ec36_38),
+    ClaimId.GC39_42: _Row("two", (("r", "rs"), ("s", "rs")), _ge43),
+    ClaimId.GE43: _Row(
+        "two", (("r", "rs"), ("s", "rs"), ("q", "qpmj"), ("p", "qpmj")), _ge43
+    ),
+    ClaimId.TP44_47: _Row("three", (), _tp44_47),
+    ClaimId.TP48_58: _Row("three", (), _tp59_61),
+    ClaimId.TP59_61: _Row("three", (("m", "qpmj"), ("j", "qpmj")), _tp59_61),
+}
+
+
+def _check(claim: ClaimId, k: int, *args: int) -> ClaimResult:
+    """A factor-based public check: validate the base, the distinct primes
+    and the auxiliary domains from the claim's row, then evaluate its
+    kernel if the primes' product is a base-k pseudoprime."""
+    source, aux, kernel = _REGISTRY[claim]
+    names = _FACTOR_NAMES[source]
+    primes = args[: len(names)]
+    _require_base_and_primes(k, *primes)
+    for (name, domain), value in zip(aux, args[len(names) :]):
+        if domain != "rs" and value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    params = (("k", k), *zip(names + tuple(name for name, _ in aux), args))
+    if not is_pseudoprime(k, prod(primes)):
+        return ClaimResult(claim, params, Verdict.NOT_APPLICABLE)
+    return _result(claim, params, kernel(k, *args))
 
 
 def check_T1(k: int, n: int) -> ClaimResult:
@@ -274,7 +308,10 @@ def check_T1(k: int, n: int) -> ClaimResult:
     _require_base_and_primes(k)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    return _gated(ClaimId.T1, _params(k=k, n=n), k, n, _t1, n)
+    params = (("k", k), ("n", n))
+    if not is_pseudoprime(k, n):
+        return ClaimResult(ClaimId.T1, params, Verdict.NOT_APPLICABLE)
+    return _result(ClaimId.T1, params, _t1(k, n))
 
 
 def t2_sides(k: int, n1: int, n2: int) -> tuple[bool, bool]:
@@ -304,15 +341,13 @@ def check_T2(k: int, n1: int, n2: int) -> ClaimResult:
     g = gcd(k, n)
     if g != 1:
         raise ValueError(f"base must be coprime to n1*n2, gcd({k}, {n}) = {g}")
-    return _t2(ClaimId.T2, _params(k=k, n1=n1, n2=n2), k, n1, n2)
+    return _result(ClaimId.T2, (("k", k), ("n1", n1), ("n2", n2)), _t2(k, n1, n2))
 
 
 def check_R24_27(k: int, n1: int, n2: int) -> ClaimResult:
     """For a two-prime pseudoprime n = n1*n2: n | k**n1 - k, n | k**n2 - k,
     and n, n1, n2 each divide k**|n1 - n2| - 1."""
-    _require_base_and_primes(k, n1, n2)
-    params = _params(k=k, n1=n1, n2=n2)
-    return _gated(ClaimId.R24_27, params, k, n1 * n2, _r24_27, n1, n2)
+    return _check(ClaimId.R24_27, k, n1, n2)
 
 
 def check_GA28_32(k: int, n1: int, n2: int, r: int) -> ClaimResult:
@@ -322,28 +357,18 @@ def check_GA28_32(k: int, n1: int, n2: int, r: int) -> ClaimResult:
     Absolute values keep the exponents positive whichever factor is
     larger; a zero exponent is degenerate.
     """
-    _require_base_and_primes(k, n1, n2)
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    params = _params(k=k, n1=n1, n2=n2, r=r)
-    return _gated(ClaimId.GA28_32, params, k, n1 * n2, _ga28_32, n1, n2, r)
+    return _check(ClaimId.GA28_32, k, n1, n2, r)
 
 
 def check_GB33_35(k: int, n1: int, n2: int, r: int) -> ClaimResult:
     """n | k**(r*(ni - 1)) - 1 for i = 1, 2."""
-    _require_base_and_primes(k, n1, n2)
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    params = _params(k=k, n1=n1, n2=n2, r=r)
-    return _gated(ClaimId.GB33_35, params, k, n1 * n2, _gb33_35, n1, n2, r)
+    return _check(ClaimId.GB33_35, k, n1, n2, r)
 
 
 def check_EC36_38(k: int, n1: int, n2: int) -> ClaimResult:
     """n | k**(n1 + n2 - 2) - 1, and independently n | k**phi(n) - 1
     using the two-distinct-prime product rule phi(n) = n1*n2 - n1 - n2 + 1."""
-    _require_base_and_primes(k, n1, n2)
-    params = _params(k=k, n1=n1, n2=n2)
-    return _gated(ClaimId.EC36_38, params, k, n1 * n2, _ec36_38, n1, n2)
+    return _check(ClaimId.EC36_38, k, n1, n2)
 
 
 def check_GC39_42(k: int, n1: int, n2: int, r: int, s: int) -> ClaimResult:
@@ -353,9 +378,7 @@ def check_GC39_42(k: int, n1: int, n2: int, r: int, s: int) -> ClaimResult:
     identity's domain and come back degenerate.  This is check_GE43 with
     q = p = 1 under its own claim id.
     """
-    _require_base_and_primes(k, n1, n2)
-    params = _params(k=k, n1=n1, n2=n2, r=r, s=s)
-    return _gated(ClaimId.GC39_42, params, k, n1 * n2, _ge43, n1, n2, r, s, 1, 1)
+    return _check(ClaimId.GC39_42, k, n1, n2, r, s)
 
 
 def check_GE43(
@@ -365,20 +388,14 @@ def check_GE43(
 
     With q = p = 1 this specializes to check_GC39_42.
     """
-    _require_base_and_primes(k, n1, n2)
-    if q < 1 or p < 1:
-        raise ValueError(f"q and p must be >= 1, got q={q}, p={p}")
-    params = _params(k=k, n1=n1, n2=n2, r=r, s=s, q=q, p=p)
-    return _gated(ClaimId.GE43, params, k, n1 * n2, _ge43, n1, n2, r, s, q, p)
+    return _check(ClaimId.GE43, k, n1, n2, r, s, q, p)
 
 
 def check_TP44_47(k: int, n1: int, n2: int, n3: int) -> ClaimResult:
     """For a three-prime pseudoprime n = n1*n2*n3, the six-term sum
     k**(n1*n2) + k**(n1*n3) + k**(n2*n3) - k**n1 - k**n2 - k**n3
     is divisible by n and by each ni."""
-    _require_base_and_primes(k, n1, n2, n3)
-    params = _params(k=k, n1=n1, n2=n2, n3=n3)
-    return _gated(ClaimId.TP44_47, params, k, n1 * n2 * n3, _tp44_47, n1, n2, n3)
+    return _check(ClaimId.TP44_47, k, n1, n2, n3)
 
 
 def check_TP48_58(k: int, n1: int, n2: int, n3: int) -> ClaimResult:
@@ -389,9 +406,7 @@ def check_TP48_58(k: int, n1: int, n2: int, n3: int) -> ClaimResult:
     the remaining factor; a zero exponent is degenerate.  This is
     check_TP59_61 with m = j = 1 under its own claim id.
     """
-    _require_base_and_primes(k, n1, n2, n3)
-    params = _params(k=k, n1=n1, n2=n2, n3=n3)
-    return _gated(ClaimId.TP48_58, params, k, n1 * n2 * n3, _tp59_61, n1, n2, n3, 1, 1)
+    return _check(ClaimId.TP48_58, k, n1, n2, n3)
 
 
 def check_TP59_61(
@@ -402,11 +417,7 @@ def check_TP59_61(
 
     With m = j = 1 this specializes to check_TP48_58.
     """
-    _require_base_and_primes(k, n1, n2, n3)
-    if m < 1 or j < 1:
-        raise ValueError(f"m and j must be >= 1, got m={m}, j={j}")
-    params = _params(k=k, n1=n1, n2=n2, n3=n3, m=m, j=j)
-    return _gated(ClaimId.TP59_61, params, k, n1 * n2 * n3, _tp59_61, n1, n2, n3, m, j)
+    return _check(ClaimId.TP59_61, k, n1, n2, n3, m, j)
 
 
 @dataclass(frozen=True)
@@ -461,29 +472,22 @@ class SuiteReport:
         return len(self.failures)
 
 
-def _pseudoprime_families(
-    base: int, max_n: int
-) -> tuple[list[int], list[tuple[int, tuple[int, ...]]], list[tuple[int, tuple[int, ...]]]]:
-    """Base-`base` pseudoprimes up to max_n: all of them, then the
-    squarefree two-prime and three-prime ones with their factors."""
-    if max_n < 2:
-        return [], [], []
-    every = enumerate_pseudoprimes(base, max_n)
-    two: list[tuple[int, tuple[int, ...]]] = []
-    three: list[tuple[int, tuple[int, ...]]] = []
-    for n in every:
-        f = factorize(n)
-        if not f.is_squarefree:
-            continue
-        if len(f.factors) == 2:
-            two.append((n, f.primes))
-        elif len(f.factors) == 3:
-            three.append((n, f.primes))
-    return every, two, three
+def _pseudoprime_families(base: int, max_n: int) -> dict[str, list[tuple[int, ...]]]:
+    """Base-`base` pseudoprimes up to max_n as the factor tuples of each
+    pseudoprime source in _FACTOR_NAMES."""
+    every = enumerate_pseudoprimes(base, max_n) if max_n >= 2 else []
+    squarefree = [f.primes for f in map(factorize, every) if f.is_squarefree]
+    two = [ps for ps in squarefree if len(ps) == 2]
+    return {
+        "every": [(n,) for n in every],
+        "two": two,
+        "two_both_orders": [pair for p, q in two for pair in ((p, q), (q, p))],
+        "three": [ps for ps in squarefree if len(ps) == 3],
+    }
 
 
-def _odd_semiprimes(max_n: int) -> list[tuple[int, int, int]]:
-    """(n, p, q) for every n = p*q <= max_n with 2 < p < q prime, by n."""
+def _odd_semiprimes(max_n: int) -> list[tuple[int, int]]:
+    """(p, q) for every p*q <= max_n with 2 < p < q prime, by product."""
     if max_n < 15:
         return []
     primes = primes_up_to(max_n // 3)
@@ -496,8 +500,8 @@ def _odd_semiprimes(max_n: int) -> list[tuple[int, int, int]]:
         for q in primes[i + 1 :]:
             if p * q > max_n:
                 break
-            out.append((p * q, p, q))
-    out.sort()
+            out.append((p, q))
+    out.sort(key=prod)
     return out
 
 
@@ -514,68 +518,33 @@ def iter_suite(config: SweepConfig, threads: int = 1) -> Iterator[ClaimResult]:
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    # T2 draws its tuples from semiprimes; only the other claims read families
-    needs_families = any(c is not ClaimId.T2 for c in config.claims)
+    rows = [(claim, _REGISTRY[claim]) for claim in config.claims]
+    sources = {row.source for _, row in rows}
+    # pseudoprimes are enumerated only for claims that read them (not T2)
     families = {
-        b: _pseudoprime_families(b, config.max_n) if needs_families else ([], [], [])
+        b: _pseudoprime_families(b, config.max_n) if sources - {"semiprimes"} else {}
         for b in config.bases
     }
-    semiprimes = (
-        _odd_semiprimes(config.max_n) if ClaimId.T2 in config.claims else []
-    )
-    rs_range = range(config.rs_min, config.rs_max + 1)
-    pos_r = range(max(1, config.rs_min), config.rs_max + 1)
-    qpmj = range(1, config.qpmj_max + 1)
-
-    for claim in config.claims:
+    semiprimes = _odd_semiprimes(config.max_n) if "semiprimes" in sources else []
+    domains = {
+        "rs": range(config.rs_min, config.rs_max + 1),
+        "rs>=1": range(max(1, config.rs_min), config.rs_max + 1),
+        "qpmj": range(1, config.qpmj_max + 1),
+    }
+    for claim, (source, aux, kernel) in rows:
+        names = ("k", *_FACTOR_NAMES[source])
+        aux_names = [name for name, _ in aux]
+        # every auxiliary tuple with its params tail, built once per claim
+        tails = [
+            (values, tuple(zip(aux_names, values)))
+            for values in product(*(domains[domain] for _, domain in aux))
+        ]
         for k in config.bases:
-            every, two, three = families[k]
-            if claim is ClaimId.T1:
-                for n in every:
-                    yield _t1(claim, _params(k=k, n=n), k, n)
-            elif claim is ClaimId.T2:
-                for n, p, q in semiprimes:
-                    params = _params(k=k, n1=p, n2=q)
-                    if gcd(k, n) == 1:
-                        yield _t2(claim, params, k, p, q)
-                    else:
-                        yield ClaimResult(claim, params, Verdict.NOT_APPLICABLE)
-            elif claim is ClaimId.R24_27:
-                for _, (p, q) in two:
-                    yield _r24_27(claim, _params(k=k, n1=p, n2=q), k, p, q)
-            elif claim is ClaimId.GA28_32:
-                # not symmetric in (n1, n2): sweep both orderings
-                for _, (p, q) in two:
-                    for (n1, n2), r in product(((p, q), (q, p)), pos_r):
-                        yield _ga28_32(claim, _params(k=k, n1=n1, n2=n2, r=r), k, n1, n2, r)
-            elif claim is ClaimId.GB33_35:
-                for _, (p, q) in two:
-                    for r in pos_r:
-                        yield _gb33_35(claim, _params(k=k, n1=p, n2=q, r=r), k, p, q, r)
-            elif claim is ClaimId.EC36_38:
-                for _, (p, q) in two:
-                    yield _ec36_38(claim, _params(k=k, n1=p, n2=q), k, p, q)
-            elif claim is ClaimId.GC39_42:
-                for _, (p, q) in two:
-                    for r, s in product(rs_range, repeat=2):
-                        params = _params(k=k, n1=p, n2=q, r=r, s=s)
-                        yield _ge43(claim, params, k, p, q, r, s, 1, 1)
-            elif claim is ClaimId.GE43:
-                for _, (p, q) in two:
-                    for r, s, qq, pp in product(rs_range, rs_range, qpmj, qpmj):
-                        params = _params(k=k, n1=p, n2=q, r=r, s=s, q=qq, p=pp)
-                        yield _ge43(claim, params, k, p, q, r, s, qq, pp)
-            elif claim is ClaimId.TP44_47:
-                for _, (p, q, t) in three:
-                    yield _tp44_47(claim, _params(k=k, n1=p, n2=q, n3=t), k, p, q, t)
-            elif claim is ClaimId.TP48_58:
-                for _, (p, q, t) in three:
-                    yield _tp59_61(claim, _params(k=k, n1=p, n2=q, n3=t), k, p, q, t, 1, 1)
-            elif claim is ClaimId.TP59_61:
-                for _, (p, q, t) in three:
-                    for m, j in product(qpmj, repeat=2):
-                        params = _params(k=k, n1=p, n2=q, n3=t, m=m, j=j)
-                        yield _tp59_61(claim, params, k, p, q, t, m, j)
+            for factors in semiprimes if source == "semiprimes" else families[k][source]:
+                args = (k, *factors)
+                head = tuple(zip(names, args))
+                for values, tail in tails:
+                    yield _result(claim, head + tail, kernel(*(args + values)))
 
 
 def run_suite(config: SweepConfig, threads: int = 1) -> SuiteReport:

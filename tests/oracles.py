@@ -3,13 +3,15 @@
 Everything here is deliberately naive and shares no code with the
 library: repeated multiplication instead of fast powering, trial division
 instead of witness tests, step-by-step map iteration instead of divisor
-criteria.  Slow is fine; independent is the point.  The one exception is
-lucas_is_prime, for numbers too large for trial division: it uses the
-built-in three-argument pow, but proves every answer with a Fermat
-witness, a factor, or a Lucas certificate.
+criteria.  Slow is fine; independent is the point.  Two exceptions use
+the built-in three-argument pow.  lucas_is_prime, for numbers too large
+for trial division, proves every answer with a Fermat witness, a factor,
+or a Lucas certificate.  naive_is_pseudoprime and naive_claim_verdict,
+whose exponents reach n1**3, evaluate each claim from its stated formula
+rather than from the library's kernels.
 """
 
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 
 def naive_mod_pow(base: int, exponent: int, modulus: int) -> int:
@@ -187,3 +189,90 @@ def rho_factor(n: int) -> list[int]:
             f = rho_split(m)
             stack += [f, m // f]
     return sorted(out)
+
+
+def naive_is_pseudoprime(k: int, n: int) -> bool:
+    """Odd composite n, coprime to k, with k**(n-1) == 1 (mod n)."""
+    return (
+        n % 2 == 1 and n > 1 and not trial_division_is_prime(n)
+        and gcd(k, n) == 1 and pow(k, n - 1, n) == 1
+    )
+
+
+def naive_claim_verdict(claim: str, k: int, *args: int) -> str:
+    """The verdict ("holds", "fails", "degenerate" or "not_applicable") of
+    the claim with this id on base k and the arguments of its public
+    check, evaluated from the identity as stated.
+
+    T2 is decided for every odd semiprime coprime to k (not_applicable
+    otherwise).  Every other claim is not_applicable unless n (T1's
+    argument, or the product of the primes) is a base-k pseudoprime, and
+    degenerate when an exponent leaves the identity's domain: zero for
+    GA28_32, TP48_58 and TP59_61, zero or negative for GC39_42 and GE43.
+    """
+    if claim == "T2":
+        n1, n2 = args
+        if gcd(k, n1 * n2) != 1:
+            return "not_applicable"
+        left = naive_is_pseudoprime(k, n1 * n2)
+        right = (pow(k, n2, n1) - k) % n1 == 0 and (pow(k, n1, n2) - k) % n2 == 0
+        return "holds" if left == right else "fails"
+
+    def divides(d: int, e: int, c: int = 1) -> bool:
+        """d | k**e - c"""
+        return (pow(k, e, d) - c) % d == 0
+
+    if claim == "T1":
+        (n,) = args
+    else:
+        arity = 3 if claim.startswith("TP") else 2
+        primes, aux = args[:arity], args[arity:]
+        n = prod(primes)
+    if not naive_is_pseudoprime(k, n):
+        return "not_applicable"
+
+    if claim == "T1":
+        # pi_n by Moebius inversion of the k**d - 1 points of period dividing d
+        pi = sum(naive_moebius(n // d) * (pow(k, d, n) - 1) for d in brute_divisors(n))
+        tests = [divides(n, n, k + pi)]
+    elif claim == "R24_27":
+        n1, n2 = primes
+        e = abs(n1 - n2)
+        tests = [divides(n, n1, k), divides(n, n2, k), divides(n, e), divides(n1, e), divides(n2, e)]
+    elif claim == "GA28_32":
+        (n1, n2), (r,) = primes, aux
+        e1, e2 = abs(n1**r - n2), abs(n2**r - n1)
+        if e1 == 0 or e2 == 0:
+            return "degenerate"
+        tests = [divides(n1, n1**r, k), divides(n1, e1), divides(n2, e2)]
+    elif claim == "GB33_35":
+        (n1, n2), (r,) = primes, aux
+        tests = [divides(n, r * (n1 - 1)), divides(n, r * (n2 - 1))]
+    elif claim == "EC36_38":
+        n1, n2 = primes
+        tests = [divides(n, n1 + n2 - 2), divides(n, naive_totient(n))]
+    elif claim in ("GC39_42", "GE43"):
+        n1, n2 = primes
+        r, s, q, p = aux if claim == "GE43" else (*aux, 1, 1)
+        e = r * n1**q + s * n2**p - (r + s)
+        if e <= 0:
+            return "degenerate"
+        tests = [divides(n, e)]
+    elif claim == "TP44_47":
+        n1, n2, n3 = primes
+        tests = [
+            (pow(k, n1 * n2, d) + pow(k, n1 * n3, d) + pow(k, n2 * n3, d)
+             - pow(k, n1, d) - pow(k, n2, d) - pow(k, n3, d)) % d == 0
+            for d in (n, n1, n2, n3)
+        ]
+    elif claim in ("TP48_58", "TP59_61"):
+        n1, n2, n3 = primes
+        m, j = aux if claim == "TP59_61" else (1, 1)
+        rotations = [(n1, n2 * n3), (n2, n1 * n3), (n3, n1 * n2)]
+        exponents = [j * abs(rest - ni**m) for ni, rest in rotations]
+        if 0 in exponents:
+            return "degenerate"
+        tests = [divides(ni, e) for (ni, _), e in zip(rotations, exponents)]
+    else:
+        raise ValueError(f"unknown claim {claim!r}")
+    return "holds" if all(tests) else "fails"

@@ -1,8 +1,9 @@
+import inspect
 import threading
 from math import gcd
 
 import pytest
-from oracles import naive_pseudoprime_sweep, trial_factor
+from oracles import naive_claim_verdict, naive_pseudoprime_sweep, trial_factor
 
 import circleprimes.claims as claims
 from circleprimes.arith import factorize, primes_up_to
@@ -377,15 +378,11 @@ class TestRunSuite:
 
     def test_evaluates_one_tuple_per_result(self, monkeypatch):
         evaluated = []
-        for name in (
-            "_t1", "_t2", "_r24_27", "_ga28_32", "_gb33_35", "_ec36_38",
-            "_ge43", "_tp44_47", "_tp59_61",
-        ):
-            kernel = getattr(claims, name)
-            monkeypatch.setattr(
-                claims, name,
-                lambda *args, kernel=kernel: evaluated.append(args) or kernel(*args),
+        for claim, row in claims._REGISTRY.items():
+            counted = row._replace(
+                kernel=lambda *args, kernel=row.kernel: evaluated.append(args) or kernel(*args)
             )
+            monkeypatch.setitem(claims._REGISTRY, claim, counted)
         results = iter_suite(SweepConfig(bases=(2, 3), max_n=3000))
         first = next(results)
         assert first.claim is ClaimId.T1 and len(evaluated) == 1
@@ -480,3 +477,75 @@ class TestSweepOracle:
             r for r in swept if r.claim is ClaimId.T2 and r.verdict is Verdict.NOT_APPLICABLE
         ]
         assert not_applicable_t2  # bases 3..7 share factors with some semiprimes
+
+
+# Each public check with arguments it accepts (base 2; 341 = 11*31 and
+# 561 = 3*11*17 are base-2 pseudoprimes), the positions of its arguments
+# that must be >= 1 (T1's n must be >= 2) and of the auxiliary parameters
+# that take any integer.
+PUBLIC_CHECKS = {
+    ClaimId.T1: (check_T1, (2, 341), (1,), ()),
+    ClaimId.T2: (check_T2, (2, 11, 31), (), ()),
+    ClaimId.R24_27: (check_R24_27, (2, 11, 31), (), ()),
+    ClaimId.GA28_32: (check_GA28_32, (2, 11, 31, 2), (3,), ()),
+    ClaimId.GB33_35: (check_GB33_35, (2, 11, 31, 2), (3,), ()),
+    ClaimId.EC36_38: (check_EC36_38, (2, 11, 31), (), ()),
+    ClaimId.GC39_42: (check_GC39_42, (2, 11, 31, 1, 1), (), (3, 4)),
+    ClaimId.GE43: (check_GE43, (2, 11, 31, 1, 1, 2, 1), (5, 6), (3, 4)),
+    ClaimId.TP44_47: (check_TP44_47, (2, 3, 11, 17), (), ()),
+    ClaimId.TP48_58: (check_TP48_58, (2, 3, 11, 17), (), ()),
+    ClaimId.TP59_61: (check_TP59_61, (2, 3, 11, 17, 2, 3), (4, 5), ()),
+}
+
+
+def replaced(args: tuple, position: int, value: int) -> tuple:
+    return args[:position] + (value,) + args[position + 1 :]
+
+
+class TestVerdictOracle:
+    def test_public_checks_match_naive_verdicts(self, oracle_families):
+        # every oracle-built tuple with the default ranges, and T2 on every
+        # odd semiprime, against each identity evaluated from its formula
+        for result in oracle_suite(oracle_families):
+            args = [value for _, value in result.params]
+            assert result.verdict.value == naive_claim_verdict(result.claim.value, *args), result
+
+    @pytest.mark.parametrize(
+        "claim", [c for c in ALL_CLAIMS if c is not ClaimId.T2], ids=lambda c: c.value
+    )
+    def test_non_pseudoprimes_are_not_applicable(self, claim):
+        check, valid, _, _ = PUBLIC_CHECKS[claim]
+        arity = sum(name.startswith("n") for name in inspect.signature(check).parameters)
+        # a prime, an odd composite, and products that are base-2 but not
+        # base-3 pseudoprimes (341, 561) or not pseudoprimes at all
+        cases = [
+            (2, (7,)), (2, (15,)), (3, (341,)),
+            (2, (7, 13)), (3, (11, 31)), (3, (3, 11)),
+            (2, (5, 7, 11)), (3, (3, 11, 17)),
+        ]
+        for k, factors in cases:
+            if len(factors) == arity:
+                args = (k, *factors, *valid[1 + arity :])
+                assert check(*args).verdict is Verdict.NOT_APPLICABLE, args
+                assert naive_claim_verdict(claim.value, *args) == "not_applicable", args
+
+
+@pytest.mark.parametrize("claim", ALL_CLAIMS, ids=lambda c: c.value)
+def test_public_check_validation(claim):
+    check, valid, at_least_one, any_integer = PUBLIC_CHECKS[claim]
+    result = check(*valid)
+    assert result.claim is claim
+    assert [name for name, _ in result.params] == list(inspect.signature(check).parameters)
+    assert [value for _, value in result.params] == list(valid)
+    with pytest.raises(ValueError):
+        check(1, *valid[1:])
+    if claim is not ClaimId.T1:  # T1's n is the pseudoprime, not a prime factor
+        with pytest.raises(ValueError):
+            check(*replaced(valid, 1, 9))
+        with pytest.raises(ValueError):
+            check(*replaced(valid, 2, valid[1]))
+    for position in at_least_one:
+        with pytest.raises(ValueError):
+            check(*replaced(valid, position, 0))
+    for position in any_integer:
+        check(*replaced(valid, position, -3))

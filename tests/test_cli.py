@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import threading
@@ -211,6 +212,19 @@ class TestVerifyCommand:
             assert j["claim_id"] == c["claim_id"]
             for field in ("checked", "holds", "fails", "degenerate", "not_applicable"):
                 assert j[field] == int(c[field])
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ((), "c4ea2be6612ae8f3860b92d9ef90e6b8c4bddd78c66a528fc1308961bf5d3ca3"),
+        (("--format", "csv"), "59403100bb52731983243248cb1be3198b99dcbd1c282e3558296d4e8404af42"),
+    ])
+    def test_records_golden_digest(self, capsys, fmt, digest):
+        # frozen stdout: 6,841 records over all 11 claims in two bases, with
+        # holds, degenerate and not_applicable rows
+        code, out, _ = run_cli(
+            capsys, "verify", "--base", "2", "--base", "3", "--max-n", "3000", "--records", *fmt
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_threads_flag_preserves_output(self, capsys, monkeypatch):
         def refuse(thread):
