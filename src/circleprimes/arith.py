@@ -154,6 +154,12 @@ def factorize(n: int) -> Factorization:
     """Complete prime factorization of n >= 2, smallest prime first."""
     if n < 2:
         raise ValueError(f"cannot factor {n}; need n >= 2")
+    return Factorization(_factor_pairs(n))
+
+
+def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of n >= 1, smallest prime first; () for 1.
+    Valid by construction: package internals skip Factorization's checks."""
     m = n
     found: list[tuple[int, int]] = []
 
@@ -179,7 +185,7 @@ def factorize(n: int) -> Factorization:
         else:
             found.extend(_factor_hard(m))
     found.sort()
-    return Factorization(tuple(found))
+    return tuple(found)
 
 
 def _factor_hard(m: int) -> list[tuple[int, int]]:
@@ -229,10 +235,8 @@ def divisors(n: int) -> list[int]:
     """All positive divisors of n >= 1 in increasing order."""
     if n < 1:
         raise ValueError(f"divisors need n >= 1, got {n}")
-    if n == 1:
-        return [1]
     out = [1]
-    for p, e in factorize(n):
+    for p, e in _factor_pairs(n):
         out = [d * p**i for d in out for i in range(e + 1)]
     out.sort()
     return out
@@ -242,12 +246,10 @@ def moebius(n: int) -> int:
     """Moebius mu: 0 when a square divides n, else (-1)**(prime count)."""
     if n < 1:
         raise ValueError(f"moebius needs n >= 1, got {n}")
-    if n == 1:
-        return 1
-    f = factorize(n)
-    if not f.is_squarefree:
+    pairs = _factor_pairs(n)
+    if any(e > 1 for _, e in pairs):
         return 0
-    return -1 if len(f.factors) % 2 else 1
+    return -1 if len(pairs) % 2 else 1
 
 
 def totient(n: int) -> int:
@@ -255,9 +257,8 @@ def totient(n: int) -> int:
     if n < 1:
         raise ValueError(f"totient needs n >= 1, got {n}")
     out = 1
-    if n > 1:
-        for p, e in factorize(n):
-            out *= (p - 1) * p ** (e - 1)
+    for p, e in _factor_pairs(n):
+        out *= (p - 1) * p ** (e - 1)
     return out
 
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .arith import divisors, moebius
+from .arith import _factor_pairs
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -110,21 +111,27 @@ class LatticePoint:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitSummary:
-    """One cycle of the map: smallest member, exact period, iteration order."""
+    """One cycle of the map: its smallest member and its exact period.
+    members is walked from the representative on each access, not stored."""
 
     representative: int
     period: int
-    members: tuple[int, ...]
+    lattice: PeriodicLattice
 
     def __post_init__(self) -> None:
-        if self.period != len(self.members):
-            raise ValueError("period must equal the number of members")
-        if not self.members or self.representative != min(self.members):
+        if exact_period(LatticePoint(self.representative, self.lattice)) != self.period:
+            raise ValueError(f"{self.representative} does not have period {self.period}")
+        if self.representative != min(self.members):
             raise ValueError("representative must be the smallest member")
-        if self.members[0] != self.representative:
-            raise ValueError("members must start at the representative")
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        """The cycle in iteration order, starting at the representative."""
+        k, m = self.lattice.k, self.lattice.modulus
+        walk = accumulate(range(1, self.period), lambda j, _: j * k % m, initial=self.representative)
+        return tuple(walk)
 
 
 @dataclass
@@ -171,47 +178,67 @@ def step(point: LatticePoint) -> LatticePoint:
 def exact_period(point: LatticePoint) -> int:
     """Least d >= 1 after which the point returns to itself.
 
-    d steps return j iff (k**d - 1)*j == 0 mod (k**n - 1).  The set of
-    valid d is closed under gcd, so the least one divides n; trying the
-    divisors of n in increasing order costs O(tau(n)) modular powers
-    instead of O(n) map iterations.
+    d steps return j iff (k**d - 1)*j == 0 mod (k**n - 1), and the d that
+    do are the multiples of the least, which divides n.  So starting from
+    n, each prime of n is divided out while the rest still returns j.
     """
     lat, j = point.lattice, point.index
-    m = lat.modulus
-    for d in divisors(lat.n):
-        if (pow(lat.k, d, m) - 1) * j % m == 0:
-            return d
-    raise InvariantViolation(f"no period divides n={lat.n}")  # pragma: no cover
+    k, m, d = lat.k, lat.modulus, lat.n
+    for p, _ in _factor_pairs(d):
+        while d % p == 0 and (pow(k, d // p, m) - 1) * j % m == 0:
+            d //= p
+    return d
 
 
 def enumerate_orbits(
     lattice: PeriodicLattice, *, cap: int | None = None
 ) -> list[OrbitSummary]:
-    """Partition every lattice index into disjoint cycles.
+    """Partition every lattice index into disjoint cycles, sorted by
+    representative.  Refuses lattices larger than the enumeration cap.
 
-    Scans indices in increasing order, so each orbit is discovered at its
-    smallest member and the result is sorted by representative.  Refuses
-    lattices larger than the enumeration cap.
+    A map step rotates the n-digit base-k word of an index, so the cycles
+    are the necklaces: least rotation as representative, Lyndon prefix
+    length as period.  Fredricksen-Kessler-Maiorana lists them in order,
+    visiting no other point, up to the all-(k - 1) word m, which is 0.
     """
     limit = enumeration_cap() if cap is None else cap
-    m, k = lattice.modulus, lattice.k
+    m, k, n = lattice.modulus, lattice.k, lattice.n
     if m > limit:
         raise ResourceLimitError(
             f"lattice has {m} points, over the enumeration cap of {limit}"
         )
-    seen = bytearray(m)
+    wrap = [k**i - 1 for i in range(n + 1)]  # i digits k - 1
+    # trusted cycles: setting the slots skips the walk in __post_init__
+    set_rep = OrbitSummary.representative.__set__
+    set_period = OrbitSummary.period.__set__
+    set_lattice = OrbitSummary.lattice.__set__
     orbits: list[OrbitSummary] = []
-    for start in range(m):
-        if seen[start]:
-            continue
-        members: list[int] = []
-        j = start
-        while not seen[j]:
-            seen[j] = 1
-            members.append(j)
-            j = j * k % m
-        orbits.append(OrbitSummary(start, len(members), tuple(members)))
-    return orbits
+    word, i = 0, 1  # a prenecklace and the length of its Lyndon prefix
+    while True:
+        if n % i == 0:
+            orbit = object.__new__(OrbitSummary)
+            set_rep(orbit, word)
+            set_period(orbit, i)
+            set_lattice(orbit, lattice)
+            orbits.append(orbit)
+        # successor: word + 1 carries through the trailing digits k - 1 to the
+        # incremented prefix x, then x repeats: the base-k fraction x/(k**i - 1)
+        x, i = word + 1, n
+        while not x % k:
+            x //= k
+            i -= 1
+        if x == wrap[i]:
+            return orbits
+        word = (m + 1) * x // wrap[i]
+
+
+def _moebius_terms(n: int, factors: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
+    """The terms (mu(n // d), d) with mu(n // d) != 0 of a sum over d | n: d = n / prod(S)
+    and sign (-1)**len(S) for each subset S of the primes in factors, the pairs of n."""
+    terms = [(1, n)]
+    for p, _ in factors:
+        terms += [(-s, d // p) for s, d in terms]
+    return terms
 
 
 def count_exact_period(
@@ -228,7 +255,7 @@ def count_exact_period(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _guard_modulus_bits(k, n, max_bits)
-    return sum(moebius(n // d) * (k**d - 1) for d in divisors(n))
+    return sum(s * (k**d - 1) for s, d in _moebius_terms(n, _factor_pairs(n)))
 
 
 def orbit_count(k: int, n: int, *, max_bits: int = DEFAULT_MODULUS_BIT_BUDGET) -> int:
@@ -257,10 +284,7 @@ def pi_mod(k: int, n: int, m: int) -> int:
         raise ValueError(f"n must be >= 1, got {n}")
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
-    total = 0
-    for d in divisors(n):
-        total += moebius(n // d) * (pow(k, d, m) - 1)
-    return total % m
+    return sum(s * (pow(k, d, m) - 1) for s, d in _moebius_terms(n, _factor_pairs(n))) % m
 
 
 def period_spectrum(
@@ -272,10 +296,13 @@ def period_spectrum(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _guard_modulus_bits(k, n, max_bits)
+    divisors = [(1, ())]  # each d | n with its factors, from one factorization
+    for p, e in _factor_pairs(n):
+        divisors += [(d * p**i, fs + ((p, i),)) for d, fs in divisors for i in range(1, e + 1)]
     entries: dict[int, tuple[int, int]] = {}
     total = 0
-    for d in divisors(n):
-        pts = count_exact_period(k, d, max_bits=max_bits)
+    for d, factors in sorted(divisors):
+        pts = sum(s * (k**e - 1) for s, e in _moebius_terms(d, factors))
         q, r = divmod(pts, d)
         if r:
             raise InvariantViolation(

@@ -16,6 +16,7 @@ import json
 import sys
 from typing import Iterable
 
+from .arith import factorize
 from .circlemap import ENUM_CAP_ENV, ResourceLimitError, fixed_points, period_spectrum
 from .claims import (
     ALL_CLAIMS,
@@ -25,7 +26,7 @@ from .claims import (
     iter_suite,
     run_suite,
 )
-from .pseudoprimes import enumerate_pseudoprimes, make_record
+from .pseudoprimes import enumerate_pseudoprimes
 
 FORMATS = ("plain", "json", "csv")
 
@@ -113,14 +114,15 @@ def _factor_string(factorization) -> str:
 def _cmd_pseudoprimes(args) -> int:
     rows = []
     for n in enumerate_pseudoprimes(args.base, args.limit):
-        record = make_record(args.base, n)
-        if args.carmichael and not record.carmichael:
+        factors = factorize(n)
+        carmichael = factors.is_squarefree and all((n - 1) % (p - 1) == 0 for p in factors.primes)
+        if args.carmichael and not carmichael:
             continue
         rows.append({
-            "n": record.n,
-            "base": record.base,
-            "factorization": _factor_string(record.factorization),
-            "carmichael": record.carmichael,
+            "n": n,
+            "base": args.base,
+            "factorization": _factor_string(factors),
+            "carmichael": carmichael,
         })
     if args.format == "plain":
         for row in rows:

@@ -1,6 +1,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from circleprimes.arith import divisors
 from circleprimes.circlemap import (
@@ -20,7 +22,7 @@ from circleprimes.circlemap import (
     pi_mod,
     step,
 )
-from oracles import naive_exact_period, naive_orbit_partition
+from oracles import brute_divisors, naive_exact_period, naive_moebius, naive_orbit_partition
 
 
 class TestFixedPoints:
@@ -119,6 +121,16 @@ class TestEnumerateOrbits:
                 want = {frozenset(c) for c in naive_orbit_partition(k, n)}
                 assert got == want, (k, n)
 
+    def test_every_small_lattice_matches_iteration_oracle(self):
+        # representatives, periods, members and their order, on every
+        # lattice with 2 <= k <= 32 and k**n <= 2**15
+        lattices = [(k, n) for k in range(2, 33) for n in range(1, 16) if k**n <= 2**15]
+        assert len(lattices) == 129
+        for k, n in lattices:
+            got = [(o.representative, o.period, o.members) for o in enumerate_orbits(make_lattice(k, n))]
+            want = [(c[0], len(c), tuple(c)) for c in naive_orbit_partition(k, n)]
+            assert got == want, (k, n)
+
     def test_orbit_well_formedness(self):
         for k, n in [(2, 6), (3, 4), (4, 3), (10, 2)]:
             lat = make_lattice(k, n)
@@ -158,10 +170,12 @@ class TestEnumerateOrbits:
             enumeration_cap()
 
     def test_summary_validation(self):
+        lat = make_lattice(2, 4)  # 3 -> 6 -> 12 -> 9 -> 3
         with pytest.raises(ValueError):
-            OrbitSummary(3, 2, (3,))
+            OrbitSummary(3, 2, lat)  # wrong period
         with pytest.raises(ValueError):
-            OrbitSummary(5, 2, (3, 6))
+            OrbitSummary(6, 4, lat)  # 3 is the smallest member
+        assert OrbitSummary(3, 4, lat).members == (3, 6, 12, 9)
 
 
 class TestCountExactPeriod:
@@ -240,6 +254,22 @@ class TestPiMod:
             pi_mod(2, 4, 0)
 
 
+class TestMoebiusPath:
+    @seed(20170401)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.integers(min_value=2, max_value=40), st.integers(min_value=1, max_value=600), st.data())
+    def test_agrees_with_naive_moebius_sum_property(self, k, n, data):
+        exact = sum(naive_moebius(n // d) * (k**d - 1) for d in brute_divisors(n))
+        assert count_exact_period(k, n) == exact
+        for m in (n, 1, 97, 2**61 - 1):
+            assert pi_mod(k, n, m) == exact % m
+        # a point of the period-d sublattice, so short periods come up too
+        d = data.draw(st.sampled_from(brute_divisors(n)))
+        lat = make_lattice(k, n)
+        j = data.draw(st.integers(min_value=0, max_value=k**d - 2)) * (lat.modulus // (k**d - 1))
+        assert exact_period(LatticePoint(j, lat)) == naive_exact_period(k, n, j)
+
+
 class TestPeriodSpectrum:
     def test_example_2_4(self):
         spectrum = period_spectrum(2, 4)
@@ -250,6 +280,15 @@ class TestPeriodSpectrum:
 
     def test_example_3_1(self):
         assert period_spectrum(3, 1).entries == {1: (2, 2)}
+
+    def test_matches_naive_moebius_counts(self):
+        for k in range(2, 6):
+            for n in (1, 8, 12, 30, 36, 64, 90, 210):
+                want = {}
+                for d in brute_divisors(n):
+                    pts = sum(naive_moebius(d // e) * (k**e - 1) for e in brute_divisors(d))
+                    want[d] = (pts, pts // d)
+                assert period_spectrum(k, n).entries == want, (k, n)
 
     def test_fixed_point_row_always_k_minus_one(self):
         for k in range(2, 8):
