@@ -11,9 +11,7 @@ from .arith import (
     Factorization,
     divisors,
     factorize,
-    gcd,
     is_prime,
-    mod_pow,
     moebius,
     primes_up_to,
     totient,
@@ -37,7 +35,6 @@ from .circlemap import (
     orbit_count,
     period_spectrum,
     pi_mod,
-    step,
 )
 from .claims import (
     ALL_CLAIMS,
@@ -63,13 +60,10 @@ from .claims import (
     t2_sides,
 )
 from .pseudoprimes import (
-    PseudoprimeRecord,
     enumerate_pseudoprimes,
     euler_theorem_check,
-    fermat_congruence_holds,
     is_carmichael,
     is_pseudoprime,
-    make_record,
 )
 
 __version__ = "0.1.0"

@@ -19,9 +19,7 @@ __all__ = [
     "Factorization",
     "divisors",
     "factorize",
-    "gcd",
     "is_prime",
-    "mod_pow",
     "moebius",
     "odd_composite_segments",
     "primes_up_to",
@@ -60,22 +58,6 @@ class Factorization:
 
     def __iter__(self):
         return iter(self.factors)
-
-
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus, without materializing base**exponent."""
-    if modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {modulus}")
-    if base < 0:
-        raise ValueError(f"base must be non-negative, got {base}")
-    if exponent < 0:
-        raise ValueError(f"exponent must be non-negative, got {exponent}")
-    return pow(base, exponent, modulus)
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor; gcd(0, 0) == 0 by convention."""
-    return math.gcd(a, b)
 
 
 _SMALL_PRIMES = (

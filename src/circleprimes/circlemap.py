@@ -35,7 +35,6 @@ __all__ = [
     "orbit_count",
     "period_spectrum",
     "pi_mod",
-    "step",
 ]
 
 DEFAULT_ENUMERATION_CAP = 1 << 26
@@ -67,11 +66,17 @@ def enumeration_cap() -> int:
     return cap
 
 
-def _guard_modulus_bits(k: int, n: int, max_bits: int) -> None:
-    if n * math.log2(k) > max_bits:
+def _guard_modulus_bits(k: int, n: int) -> None:
+    """Reject k < 2, n < 1 and a k**n - 1 over the bit budget, before
+    anything forms k**n."""
+    if k < 2:
+        raise ValueError(f"k must be > 1, got {k}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n * math.log2(k) > DEFAULT_MODULUS_BIT_BUDGET:
         raise ResourceLimitError(
             f"k**n - 1 for k={k}, n={n} needs about {int(n * math.log2(k))} bits,"
-            f" over the {max_bits}-bit budget"
+            f" over the {DEFAULT_MODULUS_BIT_BUDGET}-bit budget"
         )
 
 
@@ -87,10 +92,7 @@ class PeriodicLattice:
     modulus: int
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError(f"k must be > 1, got {self.k}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        _guard_modulus_bits(self.k, self.n)
         if self.modulus != self.k**self.n - 1:
             raise ValueError(
                 f"modulus {self.modulus} != {self.k}**{self.n} - 1; use make_lattice"
@@ -157,22 +159,10 @@ def fixed_points(k: int) -> list[tuple[int, int]]:
     return [(j, k - 1) for j in range(k - 1)]
 
 
-def make_lattice(
-    k: int, n: int, *, max_bits: int = DEFAULT_MODULUS_BIT_BUDGET
-) -> PeriodicLattice:
+def make_lattice(k: int, n: int) -> PeriodicLattice:
     """Build the period-n lattice for multiplier k."""
-    if k < 2:
-        raise ValueError(f"k must be > 1, got {k}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    _guard_modulus_bits(k, n, max_bits)
+    _guard_modulus_bits(k, n)
     return PeriodicLattice(k, n, k**n - 1)
-
-
-def step(point: LatticePoint) -> LatticePoint:
-    """One application of the map: j -> k*j mod (k**n - 1)."""
-    lat = point.lattice
-    return LatticePoint(point.index * lat.k % lat.modulus, lat)
 
 
 def exact_period(point: LatticePoint) -> int:
@@ -190,9 +180,7 @@ def exact_period(point: LatticePoint) -> int:
     return d
 
 
-def enumerate_orbits(
-    lattice: PeriodicLattice, *, cap: int | None = None
-) -> list[OrbitSummary]:
+def enumerate_orbits(lattice: PeriodicLattice) -> list[OrbitSummary]:
     """Partition every lattice index into disjoint cycles, sorted by
     representative.  Refuses lattices larger than the enumeration cap.
 
@@ -201,7 +189,7 @@ def enumerate_orbits(
     length as period.  Fredricksen-Kessler-Maiorana lists them in order,
     visiting no other point, up to the all-(k - 1) word m, which is 0.
     """
-    limit = enumeration_cap() if cap is None else cap
+    limit = enumeration_cap()
     m, k, n = lattice.modulus, lattice.k, lattice.n
     if m > limit:
         raise ResourceLimitError(
@@ -241,31 +229,25 @@ def _moebius_terms(n: int, factors: tuple[tuple[int, int], ...]) -> list[tuple[i
     return terms
 
 
-def count_exact_period(
-    k: int, n: int, *, max_bits: int = DEFAULT_MODULUS_BIT_BUDGET
-) -> int:
+def count_exact_period(k: int, n: int) -> int:
     """Exact number of lattice points whose least period is n.
 
     Inclusion-exclusion over the period-dividing counts:
     sum of mu(n/d) * (k**d - 1) over the divisors d of n.  For prime n
     this collapses to k**n - k; for n = 1 it is the k - 1 fixed points.
     """
-    if k < 2:
-        raise ValueError(f"k must be > 1, got {k}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    _guard_modulus_bits(k, n, max_bits)
+    _guard_modulus_bits(k, n)
     return sum(s * (k**d - 1) for s, d in _moebius_terms(n, _factor_pairs(n)))
 
 
-def orbit_count(k: int, n: int, *, max_bits: int = DEFAULT_MODULUS_BIT_BUDGET) -> int:
+def orbit_count(k: int, n: int) -> int:
     """Number of distinct cycles of exact period n.
 
     Every period-n cycle carries n points, so this is
     count_exact_period(k, n) / n; the division is checked and a remainder
     raises InvariantViolation (it would mean the counting is wrong).
     """
-    pi = count_exact_period(k, n, max_bits=max_bits)
+    pi = count_exact_period(k, n)
     q, r = divmod(pi, n)
     if r:
         raise InvariantViolation(f"period-{n} point count {pi} not divisible by {n}")
@@ -287,15 +269,9 @@ def pi_mod(k: int, n: int, m: int) -> int:
     return sum(s * (pow(k, d, m) - 1) for s, d in _moebius_terms(n, _factor_pairs(n))) % m
 
 
-def period_spectrum(
-    k: int, n: int, *, max_bits: int = DEFAULT_MODULUS_BIT_BUDGET
-) -> PeriodSpectrum:
+def period_spectrum(k: int, n: int) -> PeriodSpectrum:
     """Point and orbit counts for every exact period d dividing n."""
-    if k < 2:
-        raise ValueError(f"k must be > 1, got {k}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    _guard_modulus_bits(k, n, max_bits)
+    _guard_modulus_bits(k, n)
     divisors = [(1, ())]  # each d | n with its factors, from one factorization
     for p, e in _factor_pairs(n):
         divisors += [(d * p**i, fs + ((p, i),)) for d, fs in divisors for i in range(1, e + 1)]

@@ -26,7 +26,7 @@ from .claims import (
     iter_suite,
     run_suite,
 )
-from .pseudoprimes import enumerate_pseudoprimes
+from .pseudoprimes import _korselt, enumerate_pseudoprimes
 
 FORMATS = ("plain", "json", "csv")
 
@@ -115,7 +115,7 @@ def _cmd_pseudoprimes(args) -> int:
     rows = []
     for n in enumerate_pseudoprimes(args.base, args.limit):
         factors = factorize(n)
-        carmichael = factors.is_squarefree and all((n - 1) % (p - 1) == 0 for p in factors.primes)
+        carmichael = _korselt(n, factors)
         if args.carmichael and not carmichael:
             continue
         rows.append({

@@ -7,9 +7,7 @@ from circleprimes.arith import (
     Factorization,
     divisors,
     factorize,
-    gcd,
     is_prime,
-    mod_pow,
     moebius,
     odd_composite_segments,
     primes_up_to,
@@ -18,7 +16,6 @@ from circleprimes.arith import (
 from oracles import (
     brute_divisors,
     lucas_is_prime,
-    naive_mod_pow,
     naive_moebius,
     naive_totient,
     prime_sieve,
@@ -35,51 +32,6 @@ A014233 = (
     3317044064679887385961981,
 )
 PSI_13 = A014233[-1]
-
-
-class TestModPow:
-    def test_pseudoprime_witness_values(self):
-        # 2**10 = 1024 = 3*341 + 1, so the order of 2 mod 341 divides 10
-        assert mod_pow(2, 10, 341) == 1
-        assert mod_pow(2, 340, 341) == 1
-
-    def test_zero_exponent(self):
-        assert mod_pow(7, 0, 13) == 1
-
-    def test_modulus_one(self):
-        assert mod_pow(5, 3, 1) == 0
-
-    def test_agrees_with_repeated_multiplication(self):
-        moduli = list(range(1, 65)) + list(range(65, 1001, 17)) + [341, 561, 1000]
-        for m in moduli:
-            for b in range(0, 65, 3):
-                for e in range(0, 65, 2):
-                    assert mod_pow(b, e, m) == naive_mod_pow(b, e, m)
-
-    def test_rejects_zero_modulus(self):
-        with pytest.raises(ValueError):
-            mod_pow(2, 10, 0)
-
-    def test_rejects_negative_inputs(self):
-        with pytest.raises(ValueError):
-            mod_pow(-2, 3, 7)
-        with pytest.raises(ValueError):
-            mod_pow(2, -3, 7)
-
-
-class TestGcd:
-    def test_examples(self):
-        assert gcd(341, 2) == 1
-        assert gcd(561, 33) == 33  # 561 = 3*11*17, 33 = 3*11
-        assert gcd(0, 7) == 7
-        assert gcd(0, 0) == 0
-
-    def test_divides_both(self):
-        for a in range(0, 200, 7):
-            for b in range(1, 200, 11):
-                g = gcd(a, b)
-                assert a % g == 0 and b % g == 0
-                assert gcd(a, b) == gcd(b, a)
 
 
 class TestIsPrime:

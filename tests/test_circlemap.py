@@ -20,7 +20,6 @@ from circleprimes.circlemap import (
     orbit_count,
     period_spectrum,
     pi_mod,
-    step,
 )
 from oracles import brute_divisors, naive_exact_period, naive_moebius, naive_orbit_partition
 
@@ -55,12 +54,18 @@ class TestMakeLattice:
 
     def test_bit_budget(self):
         with pytest.raises(ResourceLimitError) as err:
-            make_lattice(2, 10**7, max_bits=1000)
-        assert "1000" in str(err.value)
+            make_lattice(2, 10**7)
+        assert "4194304" in str(err.value)
 
     def test_direct_construction_checks_modulus(self):
         with pytest.raises(ValueError):
             PeriodicLattice(2, 4, 16)
+
+    def test_direct_construction_checks_budget_before_modulus(self):
+        # 3**(10**7) would take seconds to build just to compare it with 5
+        with pytest.raises(ResourceLimitError) as err:
+            PeriodicLattice(3, 10**7, 5)
+        assert "4194304" in str(err.value)
 
     def test_point_bounds(self):
         lat = make_lattice(2, 4)
@@ -73,17 +78,19 @@ class TestMakeLattice:
 
 
 class TestStep:
+    """The map step j -> k*j mod (k**n - 1), as OrbitSummary.members takes it."""
+
     def test_examples(self):
         lat = make_lattice(2, 4)
-        assert step(LatticePoint(3, lat)).index == 6
-        assert step(LatticePoint(0, lat)).index == 0
+        assert OrbitSummary(3, 4, lat).members[:2] == (3, 6)
+        assert OrbitSummary(0, 1, lat).members == (0,)
         lat32 = make_lattice(3, 2)
-        assert step(LatticePoint(4, lat32)).index == 4  # the theta = half-turn fixed point
+        assert OrbitSummary(4, 1, lat32).members == (4,)  # the theta = half-turn fixed point
 
     def test_stays_on_lattice(self):
         lat = make_lattice(5, 3)
-        for j in range(lat.modulus):
-            assert 0 <= step(LatticePoint(j, lat)).index < lat.modulus
+        for orbit in enumerate_orbits(lat):
+            assert all(0 <= j < lat.modulus for j in orbit.members)
 
 
 class TestExactPeriod:
@@ -143,17 +150,18 @@ class TestEnumerateOrbits:
                 assert len(orbit.members) == orbit.period
                 # closed under the map, in iteration order
                 for a, b in zip(orbit.members, orbit.members[1:]):
-                    assert step(LatticePoint(a, lat)).index == b
-                assert step(LatticePoint(orbit.members[-1], lat)).index == orbit.members[0]
+                    assert a * lat.k % lat.modulus == b
+                assert orbit.members[-1] * lat.k % lat.modulus == orbit.members[0]
                 for member in orbit.members:
                     assert exact_period(LatticePoint(member, lat)) == orbit.period
                 seen.update(orbit.members)
             assert seen == set(range(lat.modulus))
 
-    def test_cap_exceeded_names_cap(self):
+    def test_cap_exceeded_names_cap(self, monkeypatch):
+        monkeypatch.setenv("CIRCLEPRIMES_ENUM_CAP", "10")
         lat = make_lattice(2, 5)
         with pytest.raises(ResourceLimitError) as err:
-            enumerate_orbits(lat, cap=10)
+            enumerate_orbits(lat)
         assert "10" in str(err.value) and "31" in str(err.value)
 
     def test_env_var_overrides_cap(self, monkeypatch):
@@ -208,8 +216,9 @@ class TestCountExactPeriod:
                 assert total == k**n - 1, (k, n)
 
     def test_bit_budget(self):
-        with pytest.raises(ResourceLimitError):
-            count_exact_period(2, 10**7, max_bits=1000)
+        with pytest.raises(ResourceLimitError) as err:
+            count_exact_period(2, 10**7)
+        assert "4194304" in str(err.value)
 
     def test_decimal_round_trip(self):
         # arbitrary-precision counts survive the string round trip exactly
@@ -305,7 +314,7 @@ class TestFixedPointEmbedding:
                 spacing = lat.modulus // (k - 1)
                 fixed = [
                     j for j in range(lat.modulus)
-                    if step(LatticePoint(j, lat)).index == j
+                    if j * lat.k % lat.modulus == j
                 ]
                 assert fixed == [j * spacing for j in range(k - 1)]
                 assert len(fixed) == k - 1

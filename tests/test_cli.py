@@ -9,6 +9,7 @@ import pytest
 import circleprimes.cli as cli
 from circleprimes.claims import ClaimId, ClaimResult, SuiteReport, SweepConfig, Verdict
 from circleprimes.cli import main
+from circleprimes.pseudoprimes import is_carmichael
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +102,17 @@ class TestPseudoprimesCommand:
         )
         assert code == 0
         assert out.splitlines() == ["561 = 3*11*17 [carmichael]"]
+
+    def test_carmichael_flag_matches_is_carmichael(self, capsys):
+        # 121 = 11**2 is a base-3 pseudoprime whose one prime passes 10 | 120,
+        # so only the squarefree test keeps it from being flagged
+        _, out, _ = run_cli(
+            capsys, "pseudoprimes", "--base", "3", "--limit", "2000", "--format", "json"
+        )
+        rows = parse_json_lines(out)
+        assert {"n": 121, "base": 3, "factorization": "11^2", "carmichael": False} in rows
+        assert all(row["carmichael"] == is_carmichael(row["n"]) for row in rows)
+        assert [row["n"] for row in rows if row["carmichael"]] == [1105, 1729]
 
     def test_empty_stream_exit_zero(self, capsys):
         code, out, _ = run_cli(capsys, "pseudoprimes", "--base", "2", "--limit", "300")

@@ -1,0 +1,63 @@
+"""The public surface: what each module exports, what was taken out of
+it, and the README's library example."""
+
+import inspect
+import re
+from pathlib import Path
+
+import pytest
+
+import circleprimes
+from circleprimes import arith, circlemap, claims, pseudoprimes
+
+MODULES = (arith, circlemap, claims, pseudoprimes)
+
+# removed wrappers, by the module that defined them
+REMOVED = {
+    arith: ("gcd", "mod_pow"),
+    circlemap: ("step",),
+    pseudoprimes: ("PseudoprimeRecord", "fermat_congruence_holds", "make_record"),
+}
+
+# removed keyword options
+REMOVED_KEYWORDS = (
+    (pseudoprimes.is_pseudoprime, "allow_even"),
+    (circlemap.make_lattice, "max_bits"),
+    (circlemap.count_exact_period, "max_bits"),
+    (circlemap.orbit_count, "max_bits"),
+    (circlemap.period_spectrum, "max_bits"),
+    (circlemap.enumerate_orbits, "cap"),
+)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    for name in module.__all__:
+        getattr(module, name)
+
+
+def test_removed_names_are_gone():
+    for home, names in REMOVED.items():
+        for name in names:
+            assert not hasattr(home, name), (home.__name__, name)
+            for module in (circleprimes, *MODULES):
+                assert name not in getattr(module, "__all__", ()), (module.__name__, name)
+                # claims and pseudoprimes import math.gcd, which is not ours
+                value = getattr(module, name, None)
+                owner = getattr(value, "__module__", None) or ""
+                assert not owner.startswith("circleprimes"), (module.__name__, name)
+
+
+@pytest.mark.parametrize(
+    "fn,keyword", REMOVED_KEYWORDS, ids=[f"{fn.__name__}-{kw}" for fn, kw in REMOVED_KEYWORDS]
+)
+def test_removed_keywords_are_gone(fn, keyword):
+    assert keyword not in inspect.signature(fn).parameters
+
+
+def test_readme_library_example_runs():
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    exec(compile(block, str(README), "exec"), {})

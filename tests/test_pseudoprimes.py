@@ -7,10 +7,8 @@ from circleprimes.arith import is_prime, totient
 from circleprimes.pseudoprimes import (
     enumerate_pseudoprimes,
     euler_theorem_check,
-    fermat_congruence_holds,
     is_carmichael,
     is_pseudoprime,
-    make_record,
 )
 from oracles import naive_pseudoprime_sweep, prime_sieve
 
@@ -25,10 +23,12 @@ CARMICHAEL_BELOW_10K = [561, 1105, 1729, 2465, 2821, 6601, 8911]
 
 
 class TestFermatCongruence:
+    """The k**(n-1) == 1 (mod n) congruence, as is_pseudoprime decides it."""
+
     def test_examples(self):
-        assert fermat_congruence_holds(2, 341)
-        assert fermat_congruence_holds(2, 7)
-        assert not fermat_congruence_holds(3, 341)
+        assert is_pseudoprime(2, 341)  # 2**10 == 1 (mod 341)
+        assert is_pseudoprime(2, 2047)  # 2**11 == 1 (mod 2047)
+        assert not is_pseudoprime(3, 341)
 
     def test_equivalent_to_nth_power_form(self):
         # for odd composite n coprime to k: k**(n-1) == 1 iff n | k**n - k
@@ -39,7 +39,7 @@ class TestFermatCongruence:
             for k in range(2, 21):
                 if gcd(k, n) != 1:
                     continue
-                assert fermat_congruence_holds(k, n) == (pow(k, n, n) == k % n), (k, n)
+                assert is_pseudoprime(k, n) == (pow(k, n, n) == k % n), (k, n)
 
 
 class TestIsPseudoprime:
@@ -51,6 +51,10 @@ class TestIsPseudoprime:
     def test_excludes_shared_factors_and_evens(self):
         assert not is_pseudoprime(3, 561)  # gcd(3, 561) = 3
         assert not is_pseudoprime(3, 14)
+        # even n is excluded even when the congruence holds:
+        # 14 = 2*7 with any base == 1 mod 14, and 682 = 2*11*31 with base 67
+        assert pow(15, 13, 14) == 1 and not is_pseudoprime(15, 14)
+        assert pow(67, 681, 682) == 1 and not is_pseudoprime(67, 682)
 
     def test_base_reduced_modulo_n(self):
         # the congruence only sees k mod n
@@ -58,14 +62,6 @@ class TestIsPseudoprime:
         assert is_pseudoprime(2 * 341 + 3, 341) == is_pseudoprime(3, 341)
         assert not is_pseudoprime(341, 341)  # reduces to 0
         assert is_pseudoprime(342, 341)  # reduces to 1, congruence trivial
-
-    def test_allow_even_flag(self):
-        # 14 = 2*7 passes the congruence for any base == 1 mod 14
-        assert not is_pseudoprime(15, 14)
-        assert is_pseudoprime(15, 14, allow_even=True)
-        # a nontrivial even case: 682 = 2*11*31 with base 67
-        assert is_pseudoprime(67, 682, allow_even=True)
-        assert not is_pseudoprime(67, 682)
 
     def test_no_prime_is_a_pseudoprime(self):
         sieve = prime_sieve(10**4)
@@ -150,19 +146,3 @@ class TestEulerTheoremCheck:
                 if gcd(k, n) != 1:
                     continue
                 assert pow(k, phi, n) == 1 % n, (k, n)
-
-
-class TestPseudoprimeRecord:
-    def test_record_fields(self):
-        record = make_record(2, 341)
-        assert record.n == 341
-        assert record.base == 2
-        assert record.factorization.factors == ((11, 1), (31, 1))
-        assert not record.carmichael
-        assert make_record(2, 561).carmichael
-
-    def test_rejects_non_pseudoprime(self):
-        with pytest.raises(ValueError):
-            make_record(2, 343)
-        with pytest.raises(ValueError):
-            make_record(3, 341)
