@@ -19,7 +19,6 @@ from .arith import (
 from .circlemap import (
     DEFAULT_ENUMERATION_CAP,
     DEFAULT_MODULUS_BIT_BUDGET,
-    ENUM_CAP_ENV,
     InvariantViolation,
     LatticePoint,
     OrbitSummary,
@@ -28,7 +27,6 @@ from .circlemap import (
     ResourceLimitError,
     count_exact_period,
     enumerate_orbits,
-    enumeration_cap,
     exact_period,
     fixed_points,
     make_lattice,

@@ -10,16 +10,15 @@ on the integer lattice periods, orbits and counts are exact.
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import Iterator
 
 from .arith import _factor_pairs
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "DEFAULT_MODULUS_BIT_BUDGET",
-    "ENUM_CAP_ENV",
     "InvariantViolation",
     "LatticePoint",
     "OrbitSummary",
@@ -28,7 +27,6 @@ __all__ = [
     "ResourceLimitError",
     "count_exact_period",
     "enumerate_orbits",
-    "enumeration_cap",
     "exact_period",
     "fixed_points",
     "make_lattice",
@@ -37,8 +35,9 @@ __all__ = [
     "pi_mod",
 ]
 
+# Most points enumerate_orbits walks; it bounds the k**i - 1 table and the
+# integers each necklace step handles.
 DEFAULT_ENUMERATION_CAP = 1 << 26
-ENUM_CAP_ENV = "CIRCLEPRIMES_ENUM_CAP"
 # Bit budget for materializing k**n - 1 exactly; counting beyond this must
 # go through pi_mod, which never forms big integers.
 DEFAULT_MODULUS_BIT_BUDGET = 1 << 22
@@ -50,20 +49,6 @@ class ResourceLimitError(RuntimeError):
 
 class InvariantViolation(RuntimeError):
     """An arithmetic invariant failed; this always indicates a bug."""
-
-
-def enumeration_cap() -> int:
-    """Active orbit-enumeration cap; CIRCLEPRIMES_ENUM_CAP overrides it."""
-    raw = os.environ.get(ENUM_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ENUMERATION_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{ENUM_CAP_ENV} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"{ENUM_CAP_ENV} must be >= 1, got {cap}")
-    return cap
 
 
 def _guard_modulus_bits(k: int, n: int) -> None:
@@ -89,14 +74,11 @@ class PeriodicLattice:
 
     k: int
     n: int
-    modulus: int
+    modulus: int = field(init=False)
 
     def __post_init__(self) -> None:
         _guard_modulus_bits(self.k, self.n)
-        if self.modulus != self.k**self.n - 1:
-            raise ValueError(
-                f"modulus {self.modulus} != {self.k}**{self.n} - 1; use make_lattice"
-            )
+        object.__setattr__(self, "modulus", self.k**self.n - 1)
 
 
 @dataclass(frozen=True)
@@ -161,8 +143,7 @@ def fixed_points(k: int) -> list[tuple[int, int]]:
 
 def make_lattice(k: int, n: int) -> PeriodicLattice:
     """Build the period-n lattice for multiplier k."""
-    _guard_modulus_bits(k, n)
-    return PeriodicLattice(k, n, k**n - 1)
+    return PeriodicLattice(k, n)
 
 
 def exact_period(point: LatticePoint) -> int:
@@ -180,27 +161,26 @@ def exact_period(point: LatticePoint) -> int:
     return d
 
 
-def enumerate_orbits(lattice: PeriodicLattice) -> list[OrbitSummary]:
-    """Partition every lattice index into disjoint cycles, sorted by
-    representative.  Refuses lattices larger than the enumeration cap.
+def enumerate_orbits(lattice: PeriodicLattice) -> Iterator[OrbitSummary]:
+    """Yield the disjoint cycles that partition the lattice, by increasing
+    representative, holding none of them.  The first next() refuses a
+    lattice larger than the enumeration cap.
 
     A map step rotates the n-digit base-k word of an index, so the cycles
     are the necklaces: least rotation as representative, Lyndon prefix
     length as period.  Fredricksen-Kessler-Maiorana lists them in order,
     visiting no other point, up to the all-(k - 1) word m, which is 0.
     """
-    limit = enumeration_cap()
     m, k, n = lattice.modulus, lattice.k, lattice.n
-    if m > limit:
+    if m > DEFAULT_ENUMERATION_CAP:
         raise ResourceLimitError(
-            f"lattice has {m} points, over the enumeration cap of {limit}"
+            f"lattice has {m} points, over the enumeration cap of {DEFAULT_ENUMERATION_CAP}"
         )
     wrap = [k**i - 1 for i in range(n + 1)]  # i digits k - 1
     # trusted cycles: setting the slots skips the walk in __post_init__
     set_rep = OrbitSummary.representative.__set__
     set_period = OrbitSummary.period.__set__
     set_lattice = OrbitSummary.lattice.__set__
-    orbits: list[OrbitSummary] = []
     word, i = 0, 1  # a prenecklace and the length of its Lyndon prefix
     while True:
         if n % i == 0:
@@ -208,7 +188,7 @@ def enumerate_orbits(lattice: PeriodicLattice) -> list[OrbitSummary]:
             set_rep(orbit, word)
             set_period(orbit, i)
             set_lattice(orbit, lattice)
-            orbits.append(orbit)
+            yield orbit
         # successor: word + 1 carries through the trailing digits k - 1 to the
         # incremented prefix x, then x repeats: the base-k fraction x/(k**i - 1)
         x, i = word + 1, n
@@ -216,7 +196,7 @@ def enumerate_orbits(lattice: PeriodicLattice) -> list[OrbitSummary]:
             x //= k
             i -= 1
         if x == wrap[i]:
-            return orbits
+            return
         word = (m + 1) * x // wrap[i]
 
 

@@ -17,7 +17,7 @@ import sys
 from typing import Iterable
 
 from .arith import factorize
-from .circlemap import ENUM_CAP_ENV, ResourceLimitError, fixed_points, period_spectrum
+from .circlemap import ResourceLimitError, fixed_points, period_spectrum
 from .claims import (
     ALL_CLAIMS,
     ClaimId,
@@ -201,10 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Exact circle-map orbit counting, pseudoprime search, and "
             "divisibility-identity verification."
-        ),
-        epilog=(
-            f"The orbit-enumeration cap (default 2**26 points) can be "
-            f"overridden with the {ENUM_CAP_ENV} environment variable."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

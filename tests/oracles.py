@@ -14,14 +14,6 @@ rather than from the library's kernels.
 from math import gcd, isqrt, prod
 
 
-def naive_mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus by plain repeated multiplication."""
-    acc = 1 % modulus
-    for _ in range(exponent):
-        acc = acc * base % modulus
-    return acc
-
-
 def trial_division_is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -1,4 +1,6 @@
+import tracemalloc
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, seed, settings
@@ -13,7 +15,6 @@ from circleprimes.circlemap import (
     ResourceLimitError,
     count_exact_period,
     enumerate_orbits,
-    enumeration_cap,
     exact_period,
     fixed_points,
     make_lattice,
@@ -57,14 +58,16 @@ class TestMakeLattice:
             make_lattice(2, 10**7)
         assert "4194304" in str(err.value)
 
-    def test_direct_construction_checks_modulus(self):
-        with pytest.raises(ValueError):
-            PeriodicLattice(2, 4, 16)
+    def test_direct_construction_sets_modulus(self):
+        assert PeriodicLattice(2, 4) == make_lattice(2, 4)
+        assert PeriodicLattice(2, 4).modulus == 15
+        with pytest.raises(TypeError):
+            PeriodicLattice(2, 4, 15)
 
     def test_direct_construction_checks_budget_before_modulus(self):
-        # 3**(10**7) would take seconds to build just to compare it with 5
+        # 3**(10**7) would take seconds to build
         with pytest.raises(ResourceLimitError) as err:
-            PeriodicLattice(3, 10**7, 5)
+            PeriodicLattice(3, 10**7)
         assert "4194304" in str(err.value)
 
     def test_point_bounds(self):
@@ -157,25 +160,32 @@ class TestEnumerateOrbits:
                 seen.update(orbit.members)
             assert seen == set(range(lat.modulus))
 
-    def test_cap_exceeded_names_cap(self, monkeypatch):
-        monkeypatch.setenv("CIRCLEPRIMES_ENUM_CAP", "10")
-        lat = make_lattice(2, 5)
+    def test_is_its_own_iterator(self):
+        orbits = enumerate_orbits(make_lattice(2, 4))
+        assert iter(orbits) is orbits
+        assert next(orbits).representative == 0
+
+    def test_memory_is_flat(self):
+        lat = make_lattice(2, 16)  # 4,115 orbits
+        tracemalloc.start()
+        try:
+            for _ in enumerate_orbits(lat):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
+
+    def test_first_orbits_at_the_cap_come_at_once(self):
+        # 2**26 orbits of one point each: a list of them would take gigabytes
+        orbits = islice(enumerate_orbits(make_lattice(2**26 + 1, 1)), 3)
+        assert [(o.representative, o.period) for o in orbits] == [(0, 1), (1, 1), (2, 1)]
+
+    def test_cap_exceeded_names_cap(self):
+        orbits = enumerate_orbits(make_lattice(2, 27))
         with pytest.raises(ResourceLimitError) as err:
-            enumerate_orbits(lat)
-        assert "10" in str(err.value) and "31" in str(err.value)
-
-    def test_env_var_overrides_cap(self, monkeypatch):
-        monkeypatch.setenv("CIRCLEPRIMES_ENUM_CAP", "10")
-        assert enumeration_cap() == 10
-        with pytest.raises(ResourceLimitError):
-            enumerate_orbits(make_lattice(2, 5))
-        monkeypatch.setenv("CIRCLEPRIMES_ENUM_CAP", "1000000")
-        assert len(enumerate_orbits(make_lattice(2, 5))) > 0
-
-    def test_bad_env_var_rejected(self, monkeypatch):
-        monkeypatch.setenv("CIRCLEPRIMES_ENUM_CAP", "not-a-number")
-        with pytest.raises(ValueError):
-            enumeration_cap()
+            next(orbits)
+        assert "67108864" in str(err.value) and "134217727" in str(err.value)
 
     def test_summary_validation(self):
         lat = make_lattice(2, 4)  # 3 -> 6 -> 12 -> 9 -> 3

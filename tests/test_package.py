@@ -15,7 +15,7 @@ MODULES = (arith, circlemap, claims, pseudoprimes)
 # removed wrappers, by the module that defined them
 REMOVED = {
     arith: ("gcd", "mod_pow"),
-    circlemap: ("step",),
+    circlemap: ("step", "enumeration_cap", "ENUM_CAP_ENV"),
     pseudoprimes: ("PseudoprimeRecord", "fermat_congruence_holds", "make_record"),
 }
 
