@@ -21,16 +21,17 @@ Each claim is one registry row: where its factor tuples come from, its
 auxiliary parameters with their domains, and a private kernel that only
 computes.  The public ``check_*`` functions validate their inputs and the
 pseudoprime precondition from the row, then call the kernel.  The sweep
-(iter_suite) trusts its own construction: its pseudoprimes come from
-enumerate_pseudoprimes with factors from factorize, its semiprimes from
-sieved primes, so it calls the kernels directly.
+trusts its own construction (pseudoprimes from enumerate_pseudoprimes,
+factors from factorize, semiprimes from sieved primes), so its one loop
+calls the kernels directly.  iter_suite makes a ClaimResult of each
+outcome; run_suite counts them and builds one only for a failure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
+from itertools import product, starmap
 from math import gcd, isqrt, prod
 from typing import Callable, Iterator, NamedTuple
 
@@ -141,9 +142,11 @@ def _power_witness(k: int, e: int, d: int, c: int = 1) -> str | None:
     return None if r == 0 else f"{k}**{e} - {c} = {r} (mod {d})"
 
 
-def _result(claim: ClaimId, params, outcome: Verdict | str | None) -> ClaimResult:
-    """The result of a kernel's outcome: a verdict it settled itself, the
-    witness of a failed divisibility, or None when every one holds."""
+def _result(claim: ClaimId, names, args, outcome: Verdict | str | None) -> ClaimResult:
+    """The result of a kernel's outcome on args (named by names): a verdict
+    it settled itself, the witness of a failed divisibility, or None when
+    every one holds."""
+    params = tuple(zip(names, args))
     if outcome is None:
         return ClaimResult(claim, params, Verdict.HOLDS)
     if isinstance(outcome, Verdict):
@@ -154,8 +157,8 @@ def _result(claim: ClaimId, params, outcome: Verdict | str | None) -> ClaimResul
 # Kernels: each takes integers that already satisfy its claim's
 # preconditions (a base above 1, distinct prime factors whose product is
 # a base-k pseudoprime, auxiliary parameters in their domain) and returns
-# the witness of the first divisibility that fails, None when all hold,
-# or a Verdict for a tuple outside the identity's domain.
+# the witness of the first divisibility that fails, None when all hold, or
+# DEGENERATE or NOT_APPLICABLE for a tuple outside the identity's domain.
 
 
 def _t1(k: int, n: int) -> str | None:
@@ -293,10 +296,9 @@ def _check(claim: ClaimId, k: int, *args: int) -> ClaimResult:
     for (name, domain), value in zip(aux, args[len(names) :]):
         if domain != "rs" and value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
-    params = (("k", k), *zip(names + tuple(name for name, _ in aux), args))
-    if not is_pseudoprime(k, prod(primes)):
-        return ClaimResult(claim, params, Verdict.NOT_APPLICABLE)
-    return _result(claim, params, kernel(k, *args))
+    names = ("k", *names, *(name for name, _ in aux))
+    outcome = kernel(k, *args) if is_pseudoprime(k, prod(primes)) else Verdict.NOT_APPLICABLE
+    return _result(claim, names, (k, *args), outcome)
 
 
 def check_T1(k: int, n: int) -> ClaimResult:
@@ -308,10 +310,8 @@ def check_T1(k: int, n: int) -> ClaimResult:
     _require_base_and_primes(k)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    params = (("k", k), ("n", n))
-    if not is_pseudoprime(k, n):
-        return ClaimResult(ClaimId.T1, params, Verdict.NOT_APPLICABLE)
-    return _result(ClaimId.T1, params, _t1(k, n))
+    outcome = _t1(k, n) if is_pseudoprime(k, n) else Verdict.NOT_APPLICABLE
+    return _result(ClaimId.T1, ("k", "n"), (k, n), outcome)
 
 
 def t2_sides(k: int, n1: int, n2: int) -> tuple[bool, bool]:
@@ -341,7 +341,7 @@ def check_T2(k: int, n1: int, n2: int) -> ClaimResult:
     g = gcd(k, n)
     if g != 1:
         raise ValueError(f"base must be coprime to n1*n2, gcd({k}, {n}) = {g}")
-    return _result(ClaimId.T2, (("k", k), ("n1", n1), ("n2", n2)), _t2(k, n1, n2))
+    return _result(ClaimId.T2, ("k", "n1", "n2"), (k, n1, n2), _t2(k, n1, n2))
 
 
 def check_R24_27(k: int, n1: int, n2: int) -> ClaimResult:
@@ -488,13 +488,9 @@ def _pseudoprime_families(base: int, max_n: int) -> dict[str, list[tuple[int, ..
 
 def _odd_semiprimes(max_n: int) -> list[tuple[int, int]]:
     """(p, q) for every p*q <= max_n with 2 < p < q prime, by product."""
-    if max_n < 15:
-        return []
-    primes = primes_up_to(max_n // 3)
+    primes = primes_up_to(max_n // 3)[1:]
     out = []
     for i, p in enumerate(primes):
-        if p == 2:
-            continue
         if p > isqrt(max_n):
             break
         for q in primes[i + 1 :]:
@@ -505,17 +501,10 @@ def _odd_semiprimes(max_n: int) -> list[tuple[int, int]]:
     return out
 
 
-def iter_suite(config: SweepConfig, threads: int = 1) -> Iterator[ClaimResult]:
-    """Evaluate every parameter tuple in range, each as it is generated,
-    yielding results in canonical order: claim, then base, then n, then
-    auxiliary parameters.
-
-    The tuples come from pseudoprimes the sweep enumerated and factored
-    itself and from sieved primes, so they go straight to the kernels
-    without the public checks' validation.  Evaluation is single-threaded
-    (it is CPU-bound under the interpreter lock): threads must be >= 1
-    and is otherwise ignored.
-    """
+def _outcomes(config: SweepConfig, threads: int) -> Iterator[tuple]:
+    """The one sweep loop: (claim, param names, args, kernel outcome) per
+    tuple in canonical order: claim, then base, then n, then auxiliary
+    parameters."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     rows = [(claim, _REGISTRY[claim]) for claim in config.claims]
@@ -532,34 +521,44 @@ def iter_suite(config: SweepConfig, threads: int = 1) -> Iterator[ClaimResult]:
         "qpmj": range(1, config.qpmj_max + 1),
     }
     for claim, (source, aux, kernel) in rows:
-        names = ("k", *_FACTOR_NAMES[source])
-        aux_names = [name for name, _ in aux]
-        # every auxiliary tuple with its params tail, built once per claim
-        tails = [
-            (values, tuple(zip(aux_names, values)))
-            for values in product(*(domains[domain] for _, domain in aux))
-        ]
+        names = ("k", *_FACTOR_NAMES[source], *(name for name, _ in aux))
+        tails = list(product(*(domains[domain] for _, domain in aux)))
         for k in config.bases:
             for factors in semiprimes if source == "semiprimes" else families[k][source]:
-                args = (k, *factors)
-                head = tuple(zip(names, args))
-                for values, tail in tails:
-                    yield _result(claim, head + tail, kernel(*(args + values)))
+                head = (k, *factors)
+                for tail in tails:
+                    args = head + tail
+                    yield claim, names, args, kernel(*args)
+
+
+def iter_suite(config: SweepConfig, threads: int = 1) -> Iterator[ClaimResult]:
+    """One ClaimResult per tuple in range, lazily, in canonical order.
+    threads must be >= 1 and is otherwise ignored: evaluation is CPU-bound
+    under the interpreter lock, so it runs on one thread."""
+    return starmap(_result, _outcomes(config, threads))
 
 
 def run_suite(config: SweepConfig, threads: int = 1) -> SuiteReport:
-    """Run the sweep and aggregate per-claim tallies plus the failure list.
-
-    threads is passed to iter_suite: validated, and otherwise ignored.
-    """
-    tallies = {c: {v: 0 for v in Verdict} for c in config.claims}
+    """The per-claim tallies and the failures of iter_suite's results,
+    counted from the kernel outcomes with a ClaimResult built only for a
+    failure.  threads is validated as by iter_suite, and otherwise ignored."""
+    # per claim, counts in Verdict order: holds, fails, degenerate, not applicable
+    counts = {claim: [0, 0, 0, 0] for claim in config.claims}
     failures: list[ClaimResult] = []
-    total = 0
-    for result in iter_suite(config, threads=threads):
-        total += 1
-        tallies[result.claim][result.verdict] += 1
-        if result.verdict is Verdict.FAILS:
-            failures.append(result)
-    return SuiteReport(
-        config=config, total=total, tallies=tallies, failures=tuple(failures)
-    )
+    current = tally = None
+    for claim, names, args, outcome in _outcomes(config, threads):
+        if claim is not current:
+            current, tally = claim, counts[claim]
+        if outcome is None:
+            tally[0] += 1
+        elif outcome is Verdict.DEGENERATE:
+            tally[2] += 1
+        elif outcome is Verdict.NOT_APPLICABLE:
+            tally[3] += 1
+        else:
+            # kernels return no other verdict, so this is a witness
+            tally[1] += 1
+            failures.append(_result(claim, names, args, outcome))
+    tallies = {claim: dict(zip(Verdict, c)) for claim, c in counts.items()}
+    total = sum(map(sum, counts.values()))
+    return SuiteReport(config=config, total=total, tallies=tallies, failures=tuple(failures))

@@ -144,22 +144,22 @@ def _cmd_verify(args) -> int:
     )
     if args.records:
         failures = 0
-
-        def records():
-            nonlocal failures
-            for result in iter_suite(config, threads=args.threads):
-                if result.verdict is Verdict.FAILS:
-                    failures += 1
-                yield result.as_record()
-
-        if args.format == "plain":
-            for record in records():
-                line = f"{record['claim_id']} {record['params']} {record['verdict']}"
-                if record["witness"]:
-                    line += f" witness: {record['witness']}"
-                print(line)
-        else:
-            _emit_rows(records(), ("claim_id", "params", "verdict", "witness"), args.format, sys.stdout)
+        if args.format == "csv":
+            print("claim_id,params,verdict,witness")
+        for result in iter_suite(config, threads=args.threads):
+            failures += result.verdict is Verdict.FAILS
+            claim, verdict = result.claim.value, result.verdict.value
+            params = " ".join(f"{name}={value}" for name, value in result.params)
+            witness = result.witness or ""
+            # params and witnesses are printable ASCII with no quote, comma or
+            # backslash, so these are the bytes of json.dumps and csv.writer
+            if args.format == "json":
+                print(f'{{"claim_id": "{claim}", "params": "{params}", '
+                      f'"verdict": "{verdict}", "witness": "{witness}"}}')
+            elif args.format == "csv":
+                print(f"{claim},{params},{verdict},{witness}")
+            else:
+                print(f"{claim} {params} {verdict}" + (f" witness: {witness}" if witness else ""))
         return 1 if failures else 0
 
     report = run_suite(config, threads=args.threads)

@@ -1,5 +1,7 @@
 import inspect
 import threading
+from collections import Counter
+from itertools import product
 from math import gcd
 
 import pytest
@@ -54,6 +56,28 @@ def oracle_families():
 
 def same_outcome(a: ClaimResult, b: ClaimResult) -> bool:
     return (a.verdict, a.witness) == (b.verdict, b.witness)
+
+
+def break_gb33_35(monkeypatch) -> None:
+    """Make the GB33_35 kernel report a made-up witness for r = 1, not
+    applicable for r = 2, and degenerate for r = 3 when n1 < 20; no true
+    identity fails, so only this reaches the sweep's failure path."""
+    row = claims._REGISTRY[ClaimId.GB33_35]
+
+    def kernel(k, n1, n2, r):
+        if r == 1:
+            return f"{k}**{n1 - 1} - 1 = 7 (mod {n1 * n2})"
+        if r == 2:
+            return Verdict.NOT_APPLICABLE
+        return Verdict.DEGENERATE if n1 < 20 else row.kernel(k, n1, n2, r)
+
+    monkeypatch.setitem(claims._REGISTRY, ClaimId.GB33_35, row._replace(kernel=kernel))
+
+
+def tallies_of(results, claim_ids) -> dict:
+    """Per-claim verdict counts of results, shaped like SuiteReport.tallies."""
+    counted = Counter((result.claim, result.verdict) for result in results)
+    return {claim: {v: counted[claim, v] for v in Verdict} for claim in claim_ids}
 
 
 class TestClaimResult:
@@ -375,6 +399,8 @@ class TestRunSuite:
         assert sequential == threaded
         with pytest.raises(ValueError):
             next(iter_suite(config, threads=0))
+        with pytest.raises(ValueError):
+            run_suite(config, threads=0)
 
     def test_evaluates_one_tuple_per_result(self, monkeypatch):
         evaluated = []
@@ -390,6 +416,23 @@ class TestRunSuite:
         assert len(evaluated) == 2
         next(iter_suite(SweepConfig(bases=(2,), max_n=3000, claims=(ClaimId.T2,))))
         assert len(evaluated) == 3
+        evaluated.clear()
+        report = run_suite(SweepConfig(bases=(2, 3), max_n=3000))
+        assert report.total > 0 and len(evaluated) == report.total
+
+    def test_failures_and_tallies_match_iter_suite(self, monkeypatch):
+        break_gb33_35(monkeypatch)
+        config = SweepConfig(bases=(2, 3), max_n=3000)
+        results = list(iter_suite(config))
+        report = run_suite(config)
+        failing = [r for r in results if r.verdict is Verdict.FAILS]
+        assert failing and report.failures == tuple(failing)
+        assert report.tallies == tallies_of(results, config.claims)
+        assert list(report.tallies) == list(config.claims)
+        assert all(list(counts) == list(Verdict) for counts in report.tallies.values())
+        assert report.total == len(results)
+        gb = report.tallies[ClaimId.GB33_35]
+        assert gb[Verdict.NOT_APPLICABLE] and gb[Verdict.DEGENERATE] and gb[Verdict.HOLDS]
 
     def test_degenerate_tuples_never_fail(self):
         config = SweepConfig(bases=(2,), max_n=700, rs_min=-3, rs_max=3)
@@ -477,6 +520,48 @@ class TestSweepOracle:
             r for r in swept if r.claim is ClaimId.T2 and r.verdict is Verdict.NOT_APPLICABLE
         ]
         assert not_applicable_t2  # bases 3..7 share factors with some semiprimes
+
+    def test_run_suite_tallies_equal_public_checks(self, oracle_families):
+        # run_suite counts kernel outcomes without reading iter_suite, so it
+        # needs its own comparison with the public checks
+        report = run_suite(SweepConfig(bases=ORACLE_BASES, max_n=ORACLE_LIMIT))
+        expected = list(oracle_suite(oracle_families))
+        assert report.tallies == tallies_of(expected, ALL_CLAIMS)
+        assert report.total == len(expected)
+        assert report.failures == ()
+
+
+def plain_ascii(text: str) -> bool:
+    """Printable ASCII with no quote, backslash or comma: json.dumps and
+    csv.writer write such a string as it is, between quotes for json."""
+    return text.isascii() and text.isprintable() and not set(text) & set('"\\,')
+
+
+class TestRecordText:
+    # verify --records writes json and csv rows without an encoder, which
+    # is exact only while every params and witness string is plain ASCII
+
+    def test_every_witness_template_is_plain_ascii(self):
+        # the kernels validate nothing, so odd non-primes and repeated
+        # factors make every identity fail somewhere, T2 included
+        domains = {"rs": (-1, 1, 2), "rs>=1": (1, 2), "qpmj": (1, 2)}
+        for claim, (source, aux, kernel) in claims._REGISTRY.items():
+            witnesses = set()
+            arity = len(claims._FACTOR_NAMES[source])
+            for k in (2, 3):
+                for factors in product((3, 5, 7, 9, 11), repeat=arity):
+                    for values in product(*(domains[domain] for _, domain in aux)):
+                        outcome = kernel(k, *factors, *values)
+                        if isinstance(outcome, str):
+                            witnesses.add(outcome)
+            assert witnesses, claim
+            assert all(plain_ascii(w) for w in witnesses), claim
+
+    def test_every_params_string_is_plain_ascii(self):
+        config = SweepConfig(bases=(2, 3), max_n=3000, rs_min=-3, rs_max=3)
+        records = [result.as_record() for result in iter_suite(config)]
+        assert {record["claim_id"] for record in records} == {c.value for c in ALL_CLAIMS}
+        assert all(plain_ascii(record["params"]) for record in records)
 
 
 # Each public check with arguments it accepts (base 2; 341 = 11*31 and

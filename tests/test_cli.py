@@ -6,8 +6,16 @@ import threading
 
 import pytest
 
+import circleprimes.claims as claims
 import circleprimes.cli as cli
-from circleprimes.claims import ClaimId, ClaimResult, SuiteReport, SweepConfig, Verdict
+from circleprimes.claims import (
+    ClaimId,
+    ClaimResult,
+    SuiteReport,
+    SweepConfig,
+    Verdict,
+    iter_suite,
+)
 from circleprimes.cli import main
 from circleprimes.pseudoprimes import is_carmichael
 
@@ -31,6 +39,19 @@ def parse_csv(text: str) -> list[dict]:
 
 def parse_json_lines(text: str) -> list[dict]:
     return [json.loads(line) for line in text.splitlines() if line]
+
+
+def break_gb33_35(monkeypatch) -> None:
+    """Make the GB33_35 kernel report a made-up witness for r = 1 and not
+    applicable for r = 2, so that a real sweep fails."""
+    row = claims._REGISTRY[ClaimId.GB33_35]
+
+    def kernel(k, n1, n2, r):
+        if r == 1:
+            return f"{k}**{n1 - 1} - 1 = 7 (mod {n1 * n2})"
+        return Verdict.NOT_APPLICABLE if r == 2 else row.kernel(k, n1, n2, r)
+
+    monkeypatch.setitem(claims._REGISTRY, ClaimId.GB33_35, row._replace(kernel=kernel))
 
 
 class TestFixedPointsCommand:
@@ -228,6 +249,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("fmt, digest", [
         ((), "c4ea2be6612ae8f3860b92d9ef90e6b8c4bddd78c66a528fc1308961bf5d3ca3"),
         (("--format", "csv"), "59403100bb52731983243248cb1be3198b99dcbd1c282e3558296d4e8404af42"),
+        (("--format", "json"), "dc339a9eb50a386b878c0fbdf7e3fa723a28abf34d8967f3e22edaeb7a0214f3"),
     ])
     def test_records_golden_digest(self, capsys, fmt, digest):
         # frozen stdout: 6,841 records over all 11 claims in two bases, with
@@ -265,6 +287,35 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL GB33_35" in out
         assert "total 1 checks, 1 failures" in out
+
+    def test_records_rows_are_the_encoders_bytes(self, capsys, monkeypatch):
+        # the rows are written without json or csv encoders; failing rows
+        # carry witnesses, so every field of a record is exercised
+        break_gb33_35(monkeypatch)
+        args = ("verify", "--base", "2", "--base", "3", "--max-n", "3000", "--records")
+        records = [r.as_record() for r in iter_suite(SweepConfig(bases=(2, 3), max_n=3000))]
+        assert any(record["witness"] for record in records)
+        code, out, _ = run_cli(capsys, *args, "--format", "json")
+        assert code == 1
+        assert parse_json_lines(out) == records
+        assert out == "".join(json.dumps(record) + "\n" for record in records)
+        code, out, _ = run_cli(capsys, *args, "--format", "csv")
+        expected = io.StringIO()
+        writer = csv.DictWriter(expected, fieldnames=list(records[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(records)
+        assert code == 1 and out == expected.getvalue()
+
+    def test_failure_lines_from_a_failing_kernel(self, capsys, monkeypatch):
+        break_gb33_35(monkeypatch)
+        results = list(iter_suite(SweepConfig(bases=(2, 3), max_n=3000)))
+        failing = [r.as_record() for r in results if r.verdict is Verdict.FAILS]
+        code, out, _ = run_cli(capsys, "verify", "--base", "2", "--base", "3", "--max-n", "3000")
+        assert code == 1
+        lines = [line for line in out.splitlines() if line.startswith("FAIL ")]
+        assert lines == [f"FAIL {f['claim_id']} {f['params']}: {f['witness']}" for f in failing]
+        assert lines[0] == "FAIL GB33_35 k=2 n1=11 n2=31 r=1: 2**10 - 1 = 7 (mod 341)"
+        assert out.splitlines()[-1] == f"total {len(results)} checks, {len(failing)} failures"
 
     def test_failure_exits_one_in_records_mode(self, capsys, monkeypatch):
         failing = ClaimResult(
