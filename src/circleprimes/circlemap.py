@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterator
 
-from .arith import _factor_pairs
+from .arith import _factor_pairs, divisors
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -200,13 +200,14 @@ def enumerate_orbits(lattice: PeriodicLattice) -> Iterator[OrbitSummary]:
         word = (m + 1) * x // wrap[i]
 
 
-def _moebius_terms(n: int, factors: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
-    """The terms (mu(n // d), d) with mu(n // d) != 0 of a sum over d | n: d = n / prod(S)
-    and sign (-1)**len(S) for each subset S of the primes in factors, the pairs of n."""
+def _pi_sum(k: int, n: int, m: int | None) -> int:
+    """Sum of mu(n // d) * (pow(k, d, m) - 1) over d | n; m = None is exact.  Only
+    the 2**omega(n) terms with mu != 0 are summed: d = n / prod(S), sign (-1)**len(S),
+    for each subset S of the primes of n, from one factorization of n."""
     terms = [(1, n)]
-    for p, _ in factors:
+    for p, _ in _factor_pairs(n):
         terms += [(-s, d // p) for s, d in terms]
-    return terms
+    return sum(s * (pow(k, d, m) - 1) for s, d in terms)
 
 
 def count_exact_period(k: int, n: int) -> int:
@@ -217,7 +218,7 @@ def count_exact_period(k: int, n: int) -> int:
     this collapses to k**n - k; for n = 1 it is the k - 1 fixed points.
     """
     _guard_modulus_bits(k, n)
-    return sum(s * (k**d - 1) for s, d in _moebius_terms(n, _factor_pairs(n)))
+    return _pi_sum(k, n, None)
 
 
 def orbit_count(k: int, n: int) -> int:
@@ -246,26 +247,18 @@ def pi_mod(k: int, n: int, m: int) -> int:
         raise ValueError(f"n must be >= 1, got {n}")
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
-    return sum(s * (pow(k, d, m) - 1) for s, d in _moebius_terms(n, _factor_pairs(n))) % m
+    return _pi_sum(k, n, m) % m
 
 
 def period_spectrum(k: int, n: int) -> PeriodSpectrum:
-    """Point and orbit counts for every exact period d dividing n."""
+    """Point and orbit counts for every exact period d dividing n: the
+    orbit_count of each d, so each count passes its Gauss congruence."""
     _guard_modulus_bits(k, n)
-    divisors = [(1, ())]  # each d | n with its factors, from one factorization
-    for p, e in _factor_pairs(n):
-        divisors += [(d * p**i, fs + ((p, i),)) for d, fs in divisors for i in range(1, e + 1)]
     entries: dict[int, tuple[int, int]] = {}
-    total = 0
-    for d, factors in sorted(divisors):
-        pts = sum(s * (k**e - 1) for s, e in _moebius_terms(d, factors))
-        q, r = divmod(pts, d)
-        if r:
-            raise InvariantViolation(
-                f"period-{d} point count {pts} not divisible by {d}"
-            )
-        entries[d] = (pts, q)
-        total += pts
+    for d in divisors(n):
+        q = orbit_count(k, d)
+        entries[d] = (q * d, q)
+    total = sum(pts for pts, _ in entries.values())
     if total != k**n - 1:
         raise InvariantViolation(
             f"spectrum total {total} != {k}**{n} - 1"

@@ -33,10 +33,7 @@ FORMATS = ("plain", "json", "csv")
 
 def _int_at_least(minimum: int):
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        value = _any_int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
         return value

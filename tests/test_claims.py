@@ -1,11 +1,17 @@
 import inspect
 import threading
+import tracemalloc
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import pytest
-from oracles import naive_claim_verdict, naive_pseudoprime_sweep, trial_factor
+from oracles import (
+    naive_claim_verdict,
+    naive_pseudoprime_sweep,
+    trial_division_is_prime,
+    trial_factor,
+)
 
 import circleprimes.claims as claims
 from circleprimes.arith import factorize, primes_up_to
@@ -285,6 +291,51 @@ class TestTP44_47:
         assert check_TP44_47(2, 3, 5, 7).verdict is Verdict.NOT_APPLICABLE
 
 
+KERNEL_BASES = range(2, 8)
+KERNEL_PAIRS = list(combinations(filter(trial_division_is_prime, range(3, 100, 2)), 2))
+KERNEL_TRIPLES = list(combinations(filter(trial_division_is_prime, range(3, 40, 2)), 3))
+
+
+class TestKernelsModN:
+    # the R24_27 and TP44_47 kernels check only modulus n, since each ni
+    # divides n; called without the pseudoprime gate, most tuples fail, and
+    # every clause as stated is computed here with built-in pow alone
+
+    def test_r24_27_fails_exactly_when_a_clause_fails(self):
+        kernel = claims._REGISTRY[ClaimId.R24_27].kernel
+        outcomes = set()
+        for k, (n1, n2) in product(KERNEL_BASES, KERNEL_PAIRS):
+            n, e = n1 * n2, abs(n1 - n2)
+            clauses = [(n1, n, k), (n2, n, k), (e, n, 1), (e, n1, 1), (e, n2, 1)]
+            residues = [(x, d, c, (pow(k, x, d) - c) % d) for x, d, c in clauses]
+            witness = kernel(k, n1, n2)
+            outcomes.add(witness is None)
+            assert (witness is not None) == any(r for *_, r in residues), (k, n1, n2)
+            if witness is not None:
+                mod_n = {f"{k}**{x} - {c} = {r} (mod {d})" for x, d, c, r in residues if d == n and r}
+                assert witness in mod_n, (k, n1, n2, witness)
+        assert outcomes == {True, False}
+
+    def test_tp44_47_fails_exactly_when_a_clause_fails(self):
+        kernel = claims._REGISTRY[ClaimId.TP44_47].kernel
+        outcomes = set()
+        for k, (n1, n2, n3) in product(KERNEL_BASES, KERNEL_TRIPLES):
+            n = n1 * n2 * n3
+            residues = {
+                d: (
+                    pow(k, n1 * n2, d) + pow(k, n1 * n3, d) + pow(k, n2 * n3, d)
+                    - pow(k, n1, d) - pow(k, n2, d) - pow(k, n3, d)
+                ) % d
+                for d in (n, n1, n2, n3)
+            }
+            witness = kernel(k, n1, n2, n3)
+            outcomes.add(witness is None)
+            assert (witness is not None) == any(residues.values()), (k, n1, n2, n3)
+            if witness is not None:
+                assert witness == f"six-term power sum = {residues[n]} (mod {n})"
+        assert outcomes == {True, False}
+
+
 class TestTP48_58:
     def test_561_with_hand_value(self):
         assert check_TP48_58(2, 3, 11, 17).verdict is Verdict.HOLDS
@@ -433,6 +484,20 @@ class TestRunSuite:
         assert report.total == len(results)
         gb = report.tallies[ClaimId.GB33_35]
         assert gb[Verdict.NOT_APPLICABLE] and gb[Verdict.DEGENERATE] and gb[Verdict.HOLDS]
+
+    def test_first_row_holds_no_table_of_auxiliary_parameters(self):
+        # GE43 sweeps (rs_max - rs_min + 1)**2 * qpmj_max**2 auxiliary tuples
+        # per pair, 1.96 million here: a table of them would take about 150 MB
+        config = SweepConfig(bases=(2,), max_n=1000, claims=(ClaimId.GE43,), qpmj_max=200)
+        results = iter_suite(config)
+        tracemalloc.start()
+        try:
+            first = next(results)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first.claim is ClaimId.GE43
+        assert peak < 1 << 20
 
     def test_degenerate_tuples_never_fail(self):
         config = SweepConfig(bases=(2,), max_n=700, rs_min=-3, rs_max=3)

@@ -110,6 +110,21 @@ class TestSpectrumCommand:
         assert code == 2
         assert "budget" in err
 
+    @pytest.mark.parametrize("k, n, fmt, digest", [
+        (2, 360, (), "81c921a963926cf19999983ad0c95c93d363bd897e6e452429d5b5ce87a55b04"),
+        (2, 360, ("--format", "json"), "81db9b6beafaf995a5e3cb6061b639e9a8743fc874d35a1654a6f3132a90239a"),
+        (2, 360, ("--format", "csv"), "8e885cb909dd6e77e47be839370d2ddccfba54c468a33f80195c4988c026385a"),
+        (13, 210, (), "238d922a780ec6b241a73d039ebce54600c1fbcc8824620d833a24d53db6af32"),
+        (13, 210, ("--format", "json"), "8e8691dea3eaccc02f81af5b5ddec86cf7e3496a281639b11919823da00a943c"),
+        (13, 210, ("--format", "csv"), "26f00025eab128f9feaae6f4329364efe6ba84bfb51ab5cc4eaf35834ed51fe8"),
+    ])
+    def test_spectrum_golden_digest(self, capsys, k, n, fmt, digest):
+        # frozen stdout: the 24 divisors of 360 = 2**3 * 3**2 * 5, and the 16
+        # of the squarefree 210 = 2 * 3 * 5 * 7 in base 13
+        code, out, _ = run_cli(capsys, "spectrum", "--k", str(k), "--n", str(n), *fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestPseudoprimesCommand:
     def test_limit_600(self, capsys):
@@ -257,6 +272,17 @@ class TestVerifyCommand:
         code, out, _ = run_cli(
             capsys, "verify", "--base", "2", "--base", "3", "--max-n", "3000", "--records", *fmt
         )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ((), "9832d6a0dc9d0a2faa486b32940a70d553d3b0b7f276ce4721d697c6ebb37064"),
+        (("--format", "json"), "b092513007f16bff63a6e1d11d01e3631090df8f19e10a3f65ffb05441b7aebd"),
+        (("--format", "csv"), "e2cf90603371794c4048d444ea74aa8d2c0d1a260729915187d744622b355e1b"),
+    ])
+    def test_summary_golden_digest(self, capsys, fmt, digest):
+        # frozen stdout: the tallies of the same 6,841 checks as the records
+        code, out, _ = run_cli(capsys, "verify", "--base", "2", "--base", "3", "--max-n", "3000", *fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

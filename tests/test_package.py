@@ -1,14 +1,15 @@
-"""The public surface: what each module exports, what was taken out of
-it, and the README's library example."""
+"""The public surface: what the package and each module export, what was
+taken out of it, and the README's library example and CLI lines."""
 
 import inspect
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import circleprimes
-from circleprimes import arith, circlemap, claims, pseudoprimes
+from circleprimes import arith, circlemap, claims, cli, pseudoprimes
 
 MODULES = (arith, circlemap, claims, pseudoprimes)
 
@@ -32,10 +33,16 @@ REMOVED_KEYWORDS = (
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", (circleprimes, *MODULES), ids=lambda m: m.__name__)
 def test_every_exported_name_resolves(module):
     for name in module.__all__:
         getattr(module, name)
+
+
+def test_package_exports_exactly_the_modules_names():
+    names = [name for module in MODULES for name in module.__all__]
+    assert circleprimes.__all__ == names
+    assert len(set(names)) == len(names)
 
 
 def test_removed_names_are_gone():
@@ -61,3 +68,13 @@ def test_readme_library_example_runs():
     library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
     block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
     exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_cli_lines_run(capsys):
+    block = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    lines = re.search(r"```sh\n(.*?)```", block, re.S).group(1).splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines]
+    assert commands and all(argv[0] == "circleprimes" for argv in commands)
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, argv
+        assert capsys.readouterr().out, argv
