@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from itertools import compress
-from math import gcd
+from math import gcd, isqrt
 
-from .arith import Factorization, factorize, is_prime, odd_composite_segments, totient
+from .arith import Factorization, _odd_segments, factorize, is_prime, primes_up_to, totient
+from .circlemap import _least_period
 
 __all__ = [
     "enumerate_pseudoprimes",
@@ -39,19 +40,54 @@ def is_pseudoprime(k: int, n: int) -> bool:
 def enumerate_pseudoprimes(k: int, limit: int) -> list[int]:
     """All base-k pseudoprimes up to limit, ascending.
 
-    The odd composites come from the segmented sieve, so no primality
-    test runs; memory is O(sqrt(limit)) plus one sieve segment.  The
-    congruence alone implies gcd(k, n) == 1, and leaving out a gcd
-    shortcut makes every base cost the same, one pow per odd composite.
+    The angle 1/p has exact period d = ord_p(k) under theta -> k*theta, and
+    k**(n-1) == 1 (mod n) gives k**(n-1) == 1 (mod p) for each prime p | n,
+    so d | n - 1, and p does not divide k.  The segmented sieve keeps only
+    the odd composites that meet this for their smallest prime factor, and
+    for every other sieving prime p | n with d <= 64 or p | k.  Only these
+    survivors run the Fermat test, which stays the final word, so the
+    output is exactly the pseudoprimes.  No primality test runs, and memory
+    is O(sqrt(limit)) plus one sieve segment.
     """
     if k < 2:
         raise ValueError(f"base must be > 1, got {k}")
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     hits: list[int] = []
-    for odds, composite in odd_composite_segments(limit):
-        hits += [n for n in compress(odds, composite) if pow(k, n - 1, n) == 1]
+    for odds, survivor in _odd_segments(limit, _order_filter(k, limit)):
+        hits += [n for n in compress(odds, survivor) if pow(k, n - 1, n) == 1]
     return hits
+
+
+# largest ord_p(k) whose classes outside n == 1 (mod d) are cleared for every
+# multiple of p, not only where p is the smallest prime factor: d - 1 writes
+_ORDER_FILTER_MAX = 64
+
+
+def _order_filter(k: int, limit: int) -> list[tuple[int, int, int, bytes]]:
+    """Sieve writes (see arith._odd_segments) flagging the odd composites
+    n <= limit that the order filter of enumerate_pseudoprimes keeps.
+
+    Sieving primes walk downwards, each clearing its multiples from p**2 on
+    and then setting those with n == 1 (mod d), so the last write to a
+    composite comes from its smallest prime factor, and primes stay unset.
+    As d | p - 1, the odd n = p*t with n == 1 (mod d) are those with
+    t == 1 (mod L), L = lcm(2, d): one class mod p*L.  The clears of the
+    other odd t, and of every multiple of a p dividing k, run last.
+    """
+    keep, drop = b"\x01", b"\x00"
+    order, clears = [], []
+    for p in reversed(primes_up_to(isqrt(limit))[1:]):
+        if k % p == 0:
+            clears.append((p, p, p, drop))
+            continue
+        d = _least_period(k % p, p - 1, p)
+        L = d if d % 2 == 0 else 2 * d
+        step = p * L // 2
+        order += [(p * p, p, p, drop), (p * p, p, step, keep)]
+        if d <= _ORDER_FILTER_MAX:
+            clears += [(p, p * t, step, drop) for t in range(3, L, 2)]
+    return order + clears
 
 
 def is_carmichael(n: int) -> bool:

@@ -99,6 +99,17 @@ def naive_exact_period(k: int, n: int, j: int) -> int:
     return steps
 
 
+def naive_multiplicative_order(k: int, p: int) -> int:
+    """Least d >= 1 with k**d == 1 (mod prime p), by repeated multiplication."""
+    if k % p == 0:
+        raise ValueError(f"{p} divides {k}: no power of it is 1 mod {p}")
+    acc, d = k % p, 1
+    while acc != 1:
+        acc = acc * k % p
+        d += 1
+    return d
+
+
 def naive_pseudoprime_sweep(k: int, limit: int) -> list[int]:
     """Base-k pseudoprimes up to limit using only naive building blocks."""
     hits = []

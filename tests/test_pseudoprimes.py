@@ -1,16 +1,20 @@
-from math import gcd
+from itertools import compress
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from circleprimes import arith
 from circleprimes.arith import is_prime, totient
 from circleprimes.pseudoprimes import (
+    _order_filter,
     enumerate_pseudoprimes,
     euler_theorem_check,
     is_carmichael,
     is_pseudoprime,
 )
-from oracles import naive_pseudoprime_sweep, prime_sieve
+from oracles import naive_multiplicative_order, naive_pseudoprime_sweep, prime_sieve, trial_factor
 
 # Base-2 pseudoprimes up to 5000, frozen after regeneration by the
 # independent naive sweep (see test_golden_list_regeneration).
@@ -88,14 +92,48 @@ class TestEnumeratePseudoprimes:
         assert enumerate_pseudoprimes(k, 2 * 10**4) == naive_pseudoprime_sweep(k, 2 * 10**4)
 
     def test_segment_edges(self, monkeypatch):
-        # 8 odd numbers per segment: segments start at 3 + 16*j, so the
-        # pseudoprimes 1105 and 1729 each end a segment
+        # 8 odd numbers per segment: segments start at 3 + 16*j, so the base-2
+        # pseudoprimes 1105 and 1729 each end a segment.  Bases 3 and 6 have
+        # sieving primes dividing k, and 211 == 1 (mod 2, 3, 5 and 7)
         monkeypatch.setattr(arith, "_SEGMENT", 8)
-        hits = naive_pseudoprime_sweep(2, 2000)
-        for start in range(3, 2000, 16):
-            for limit in range(max(2, start - 2), start + 3):
-                want = [n for n in hits if n <= limit]
-                assert enumerate_pseudoprimes(2, limit) == want, limit
+        for k in (2, 3, 6, 211):
+            hits = naive_pseudoprime_sweep(k, 2000)
+            for start in range(3, 2000, 16):
+                # an even limit sieves exactly what the odd one below it does
+                for limit in range(max(3, start - 2), start + 3, 2):
+                    want = [n for n in hits if n <= limit]
+                    assert enumerate_pseudoprimes(k, limit) == want, (k, limit)
+
+    @pytest.mark.parametrize("k", [2, 3, 6, 211])
+    def test_survivors_are_the_order_filter(self, monkeypatch, k):
+        # the Fermat test hides a filter that keeps too much, so compare the
+        # survivors with the filter's definition: each prime p | n that is the
+        # smallest, divides k or has ord_p(k) <= 64 needs ord_p(k) | n - 1
+        monkeypatch.setattr(arith, "_SEGMENT", 8)
+        limit = 10000
+
+        def passes(p, n):
+            return k % p != 0 and (n - 1) % naive_multiplicative_order(k, p) == 0
+
+        want = []
+        for n in range(9, limit + 1, 2):
+            factors = trial_factor(n)
+            if len(factors) > 1 and passes(factors[0], n) and all(
+                passes(p, n) for p in set(factors)
+                if p <= isqrt(limit) and (k % p == 0 or naive_multiplicative_order(k, p) <= 64)
+            ):
+                want.append(n)
+        segments = arith._odd_segments(limit, _order_filter(k, limit))
+        assert [n for odds, keep in segments for n in compress(odds, keep)] == want
+
+    @seed(20170401)
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(st.integers(min_value=2, max_value=10**4), st.integers(min_value=2, max_value=30000))
+    @example(211, 10000)  # 211 == 1 (mod 2, 3, 5 and 7): order 1 for those
+    @example(67, 5000)  # the largest sieving prime: none of its multiples pass
+    @example(9973, 5000)  # larger than the limit
+    def test_agrees_with_naive_sweep_property(self, k, limit):
+        assert enumerate_pseudoprimes(k, limit) == naive_pseudoprime_sweep(k, limit)
 
     def test_ascending_no_duplicates(self):
         for k in (2, 3, 5):
