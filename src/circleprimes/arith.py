@@ -258,7 +258,7 @@ def odd_composite_segments(limit: int) -> Iterator[tuple[range, bytearray]]:
     sqrt(limit), themselves sieved by primes_up_to, and one segment.
     """
     sieving = primes_up_to(math.isqrt(limit))[1:]
-    return _odd_segments(limit, [(p * p, p, p, b"\x01") for p in sieving])
+    yield from _odd_segments(limit, [(p * p, p, p, b"\x01") for p in sieving])
 
 
 def _odd_segments(

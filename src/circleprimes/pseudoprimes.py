@@ -60,7 +60,8 @@ def enumerate_pseudoprimes(k: int, limit: int) -> list[int]:
 
 
 # largest ord_p(k) whose classes outside n == 1 (mod d) are cleared for every
-# multiple of p, not only where p is the smallest prime factor: d - 1 writes
+# multiple of p, not only where p is the smallest prime factor: at most d - 1
+# writes, lcm(2, d)/2 - 1
 _ORDER_FILTER_MAX = 64
 
 

@@ -92,17 +92,26 @@ class TestEnumeratePseudoprimes:
         assert enumerate_pseudoprimes(k, 2 * 10**4) == naive_pseudoprime_sweep(k, 2 * 10**4)
 
     def test_segment_edges(self, monkeypatch):
-        # 8 odd numbers per segment: segments start at 3 + 16*j, so the base-2
-        # pseudoprimes 1105 and 1729 each end a segment.  Bases 3 and 6 have
-        # sieving primes dividing k, and 211 == 1 (mod 2, 3, 5 and 7)
+        # 8 odd numbers per segment: segments start at 3 + 16*j, so the
+        # pseudoprimes 1105 and 1729 each end a segment
         monkeypatch.setattr(arith, "_SEGMENT", 8)
-        for k in (2, 3, 6, 211):
-            hits = naive_pseudoprime_sweep(k, 2000)
-            for start in range(3, 2000, 16):
-                # an even limit sieves exactly what the odd one below it does
-                for limit in range(max(3, start - 2), start + 3, 2):
-                    want = [n for n in hits if n <= limit]
-                    assert enumerate_pseudoprimes(k, limit) == want, (k, limit)
+        hits = naive_pseudoprime_sweep(2, 2000)
+        for start in range(3, 2000, 16):
+            for limit in range(max(2, start - 2), start + 3):
+                want = [n for n in hits if n <= limit]
+                assert enumerate_pseudoprimes(2, limit) == want, limit
+
+    @pytest.mark.parametrize("k", [3, 6, 211])
+    def test_segment_edges_order_classes(self, monkeypatch, k):
+        # the per-segment order-class offsets at every segment edge: bases 3
+        # and 6 have sieving primes dividing k, and 211 == 1 (mod 2, 3, 5, 7);
+        # the even limits are left to the base-2 test above
+        monkeypatch.setattr(arith, "_SEGMENT", 8)
+        hits = naive_pseudoprime_sweep(k, 2000)
+        for start in range(3, 2000, 16):
+            for limit in range(max(3, start - 2), start + 3, 2):
+                want = [n for n in hits if n <= limit]
+                assert enumerate_pseudoprimes(k, limit) == want, limit
 
     @pytest.mark.parametrize("k", [2, 3, 6, 211])
     def test_survivors_are_the_order_filter(self, monkeypatch, k):
