@@ -258,40 +258,28 @@ def odd_composite_segments(limit: int) -> Iterator[tuple[range, bytearray]]:
     sqrt(limit), themselves sieved by primes_up_to, and one segment.
     """
     sieving = primes_up_to(math.isqrt(limit))[1:]
-    yield from _odd_segments(limit, [(p * p, p, p, b"\x01") for p in sieving])
-
-
-def _odd_segments(
-    limit: int, writes: list[tuple[int, int, int, bytes]]
-) -> Iterator[tuple[range, bytearray]]:
-    """Flags over the odd numbers 3..limit, one segment at a time, ascending.
-
-    Yields (odds, flags): odds a range of at most _SEGMENT consecutive odd
-    numbers, flags one byte per odd, all 0 until the writes run, in the
-    given order.  A write (start, r, step, fill), with start and r odd, sets
-    the flag of every odd n >= start with n == r (mod 2*step) to the byte fill.
-    """
     for lo in range(3, limit + 1, 2 * _SEGMENT):
         odds = range(lo, min(lo + 2 * _SEGMENT, limit + 1), 2)
-        last, size = odds[-1], len(odds)
-        flags = bytearray(size)
-        for start, r, step, fill in writes:
-            if start > last:
-                continue
-            if start < lo:
-                start = lo
-            # index of the first odd n >= start with n == r (mod 2*step)
-            i = (start - lo) // 2 + (r - start) // 2 % step
-            if i < size:
-                flags[i::step] = fill * ((size - 1 - i) // step + 1)
-        yield odds, flags
+        composite = bytearray(len(odds))
+        for p in sieving:
+            square = p * p
+            if square > odds[-1]:
+                break
+            if square >= lo:
+                i = (square - lo) // 2
+            else:
+                # lo + 2*i == 0 (mod p); (p + 1) // 2 inverts 2 mod p
+                i = -lo * ((p + 1) // 2) % p
+            composite[i::p] = b"\x01" * len(range(i, len(odds), p))
+        yield odds, composite
 
 
 def primes_up_to(limit: int) -> list[int]:
     """All primes <= limit, ascending."""
-    if limit < 2:
-        return []
-    primes = [2]
+    return [2, *_odd_primes(limit)] if limit >= 2 else []
+
+
+def _odd_primes(limit: int) -> Iterator[int]:
+    """The odd primes <= limit, ascending, one sieve segment at a time."""
     for odds, composite in odd_composite_segments(limit):
-        primes += compress(odds, composite.translate(_COMPOSITE_TO_PRIME))
-    return primes
+        yield from compress(odds, composite.translate(_COMPOSITE_TO_PRIME))

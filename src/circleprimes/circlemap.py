@@ -5,10 +5,6 @@ with denominator k**n - 1, so the whole period-n state space is the integer
 lattice {0, ..., k**n - 2} and the map becomes j -> k*j mod (k**n - 1).
 Angles are never floats here: floats would corrupt period detection, while
 on the integer lattice periods, orbits and counts are exact.
-
-The exact period of the rational angle j/m is the order of k modulo
-m / gcd(j, m), found by _least_period; for the angle 1/p it is ord_p(k),
-which pseudoprimes sieves by.
 """
 
 from __future__ import annotations
@@ -153,26 +149,14 @@ def make_lattice(k: int, n: int) -> PeriodicLattice:
 def exact_period(point: LatticePoint) -> int:
     """Least d >= 1 after which the point returns to itself.
 
-    d steps return j iff (k**d - 1)*j == 0 mod (k**n - 1), that is iff
-    k**d == 1 modulo (k**n - 1) / gcd(j, k**n - 1), and n steps always do.
+    d steps return j iff (k**d - 1)*j == 0 mod (k**n - 1), and the d that
+    do are the multiples of the least, which divides n.  So starting from
+    n, each prime of n is divided out while the rest still returns j.
     """
     lat, j = point.lattice, point.index
-    return _least_period(lat.k, lat.n, lat.modulus // math.gcd(j, lat.modulus))
-
-
-def _least_period(k: int, e: int, m: int) -> int:
-    """Least d >= 1 with k**d == 1 (mod m), given that k**e == 1 (mod m):
-    the exact period of the angle 1/m under theta -> k*theta.
-
-    The d that return are the multiples of the least, which divides e.  So
-    starting from e, each prime of e is divided out while k still returns.
-    Raises ValueError when k is not a unit mod m: no power of it is 1.
-    """
-    if math.gcd(k, m) != 1:
-        raise ValueError(f"{k} is not a unit modulo {m}")
-    d = e
-    for p, _ in _factor_pairs(e):
-        while d % p == 0 and pow(k, d // p, m) == 1 % m:
+    k, m, d = lat.k, lat.modulus, lat.n
+    for p, _ in _factor_pairs(d):
+        while d % p == 0 and (pow(k, d // p, m) - 1) * j % m == 0:
             d //= p
     return d
 

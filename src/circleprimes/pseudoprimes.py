@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from itertools import compress
 from math import gcd, isqrt
+from typing import Iterator
 
-from .arith import Factorization, _odd_segments, factorize, is_prime, primes_up_to, totient
-from .circlemap import _least_period
+from .arith import Factorization, _odd_primes, factorize, is_prime, primes_up_to, totient
 
 __all__ = [
     "enumerate_pseudoprimes",
@@ -40,55 +39,60 @@ def is_pseudoprime(k: int, n: int) -> bool:
 def enumerate_pseudoprimes(k: int, limit: int) -> list[int]:
     """All base-k pseudoprimes up to limit, ascending.
 
-    The angle 1/p has exact period d = ord_p(k) under theta -> k*theta, and
-    k**(n-1) == 1 (mod n) gives k**(n-1) == 1 (mod p) for each prime p | n,
-    so d | n - 1, and p does not divide k.  The segmented sieve keeps only
-    the odd composites that meet this for their smallest prime factor, and
-    for every other sieving prime p | n with d <= 64 or p | k.  Only these
-    survivors run the Fermat test, which stays the final word, so the
-    output is exactly the pseudoprimes.  No primality test runs, and memory
-    is O(sqrt(limit)) plus one sieve segment.
+    Only the candidates of _fermat_candidates run the Fermat test, which
+    stays the final word, so the output is exactly the pseudoprimes.  No
+    primality test runs, and memory is O(sqrt(limit)) plus one sieve
+    segment.
     """
     if k < 2:
         raise ValueError(f"base must be > 1, got {k}")
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
-    hits: list[int] = []
-    for odds, survivor in _odd_segments(limit, _order_filter(k, limit)):
-        hits += [n for n in compress(odds, survivor) if pow(k, n - 1, n) == 1]
-    return hits
+    return sorted(n for n in _fermat_candidates(k, limit) if pow(k, n - 1, n) == 1)
 
 
-# largest ord_p(k) whose classes outside n == 1 (mod d) are cleared for every
-# multiple of p, not only where p is the smallest prime factor: at most d - 1
-# writes, lcm(2, d)/2 - 1
-_ORDER_FILTER_MAX = 64
+def _fermat_candidates(k: int, limit: int) -> Iterator[int]:
+    """The odd composites n <= limit that can be base-k pseudoprimes, each
+    once, in no fixed order.
 
+    Every odd composite falls in one of two groups:
 
-def _order_filter(k: int, limit: int) -> list[tuple[int, int, int, bytes]]:
-    """Sieve writes (see arith._odd_segments) flagging the odd composites
-    n <= limit that the order filter of enumerate_pseudoprimes keeps.
+    - all prime factors <= sqrt(limit): each is a candidate, built once as
+      a product of odd primes in non-decreasing order;
+    - a prime factor q > sqrt(limit): q occurs once, and n = q*m with m odd
+      and 3 <= m < q.  The angle 1/q has exact period ord_q(k) under
+      theta -> k*theta, and k**(n-1) == 1 (mod q) needs ord_q(k) | n - 1 =
+      m*(q - 1) + m - 1, so ord_q(k) | m - 1 as ord_q(k) | q - 1.  With m
+      odd, m == 1 (mod e) for the least even e with k**e == 1 (mod q), and
+      e is looked for only up to limit // q, the largest m.
 
-    Sieving primes walk downwards, each clearing its multiples from p**2 on
-    and then setting those with n == 1 (mod d), so the last write to a
-    composite comes from its smallest prime factor, and primes stay unset.
-    As d | p - 1, the odd n = p*t with n == 1 (mod d) are those with
-    t == 1 (mod L), L = lcm(2, d): one class mod p*L.  The clears of the
-    other odd t, and of every multiple of a p dividing k, run last.
+    Every base costs nearly the same: the first group does not depend on k,
+    and the second scans the same primes q for every k, keeping a few
+    hundred of its composites at limit 10**6.
     """
-    keep, drop = b"\x01", b"\x00"
-    order, clears = [], []
-    for p in reversed(primes_up_to(isqrt(limit))[1:]):
-        if k % p == 0:
-            clears.append((p, p, p, drop))
+    root = isqrt(limit)
+    small = primes_up_to(root)[1:]
+    stack = [(1, 0)]
+    while stack:
+        n, i = stack.pop()
+        for j in range(i, len(small)):
+            m = n * small[j]
+            if m > limit:
+                break
+            stack.append((m, j))
+            if n > 1:
+                yield m
+    for q in _odd_primes(limit // 3):
+        if q <= root:
             continue
-        d = _least_period(k % p, p - 1, p)
-        L = d if d % 2 == 0 else 2 * d
-        step = p * L // 2
-        order += [(p * p, p, p, drop), (p * p, p, step, keep)]
-        if d <= _ORDER_FILTER_MAX:
-            clears += [(p, p * t, step, drop) for t in range(3, L, 2)]
-    return order + clears
+        top = limit // q
+        k2 = k * k % q
+        power, e = k2, 2
+        while power != 1 and e < top:
+            power = power * k2 % q
+            e += 2
+        if power == 1:
+            yield from range(q * (e + 1), limit + 1, q * e)
 
 
 def is_carmichael(n: int) -> bool:

@@ -13,7 +13,6 @@ from circleprimes.circlemap import (
     OrbitSummary,
     PeriodicLattice,
     ResourceLimitError,
-    _least_period,
     count_exact_period,
     enumerate_orbits,
     exact_period,
@@ -23,14 +22,7 @@ from circleprimes.circlemap import (
     period_spectrum,
     pi_mod,
 )
-from oracles import (
-    brute_divisors,
-    naive_exact_period,
-    naive_moebius,
-    naive_multiplicative_order,
-    naive_orbit_partition,
-    prime_sieve,
-)
+from oracles import brute_divisors, naive_exact_period, naive_moebius, naive_orbit_partition
 
 
 class TestFixedPoints:
@@ -122,26 +114,6 @@ class TestExactPeriod:
             lat = make_lattice(k, n)
             for j in range(lat.modulus):
                 assert n % exact_period(LatticePoint(j, lat)) == 0
-
-
-class TestLeastPeriod:
-    def test_multiplicative_order_agrees_with_repeated_multiplication(self):
-        # k up to 60 runs past the small p, and k == 1 (mod p) has order 1
-        sieve = prime_sieve(3000)
-        for p in range(3, 3000, 2):
-            if not sieve[p]:
-                continue
-            for k in range(2, 61):
-                if k % p == 0:
-                    with pytest.raises(ValueError):
-                        _least_period(k, p - 1, p)
-                else:
-                    assert _least_period(k, p - 1, p) == naive_multiplicative_order(k, p), (k, p)
-
-    def test_examples(self):
-        assert _least_period(2, 6, 7) == 3
-        assert _least_period(8, 6, 7) == 1  # 8 == 1 (mod 7)
-        assert _least_period(2, 12, 1) == 1  # every power is 1 mod 1
 
 
 class TestEnumerateOrbits:

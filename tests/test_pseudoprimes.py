@@ -1,4 +1,3 @@
-from itertools import compress
 from math import gcd, isqrt
 
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 from circleprimes import arith
 from circleprimes.arith import is_prime, totient
 from circleprimes.pseudoprimes import (
-    _order_filter,
+    _fermat_candidates,
     enumerate_pseudoprimes,
     euler_theorem_check,
     is_carmichael,
@@ -102,10 +101,11 @@ class TestEnumeratePseudoprimes:
                 assert enumerate_pseudoprimes(2, limit) == want, limit
 
     @pytest.mark.parametrize("k", [3, 6, 211])
-    def test_segment_edges_order_classes(self, monkeypatch, k):
-        # the per-segment order-class offsets at every segment edge: bases 3
-        # and 6 have sieving primes dividing k, and 211 == 1 (mod 2, 3, 5, 7);
-        # the even limits are left to the base-2 test above
+    def test_segment_edges_other_bases(self, monkeypatch, k):
+        # the same edges for other bases: 3 and 6 share prime factors with
+        # many composites, and 211 is itself a prime above sqrt(limit), so
+        # the q-search must keep none of its multiples; the even limits are
+        # left to the base-2 test above
         monkeypatch.setattr(arith, "_SEGMENT", 8)
         hits = naive_pseudoprime_sweep(k, 2000)
         for start in range(3, 2000, 16):
@@ -114,32 +114,30 @@ class TestEnumeratePseudoprimes:
                 assert enumerate_pseudoprimes(k, limit) == want, limit
 
     @pytest.mark.parametrize("k", [2, 3, 6, 211])
-    def test_survivors_are_the_order_filter(self, monkeypatch, k):
+    def test_candidates_are_the_order_filter(self, monkeypatch, k):
         # the Fermat test hides a filter that keeps too much, so compare the
-        # survivors with the filter's definition: each prime p | n that is the
-        # smallest, divides k or has ord_p(k) <= 64 needs ord_p(k) | n - 1
+        # candidates with the filter's definition: an odd composite is kept
+        # unless its largest prime factor q exceeds sqrt(limit) and either
+        # divides k or has ord_q(k) not dividing n - 1
         monkeypatch.setattr(arith, "_SEGMENT", 8)
         limit = 10000
-
-        def passes(p, n):
-            return k % p != 0 and (n - 1) % naive_multiplicative_order(k, p) == 0
-
         want = []
         for n in range(9, limit + 1, 2):
             factors = trial_factor(n)
-            if len(factors) > 1 and passes(factors[0], n) and all(
-                passes(p, n) for p in set(factors)
-                if p <= isqrt(limit) and (k % p == 0 or naive_multiplicative_order(k, p) <= 64)
+            q = factors[-1]
+            if len(factors) > 1 and (
+                q <= isqrt(limit)
+                or k % q != 0 and (n - 1) % naive_multiplicative_order(k, q) == 0
             ):
                 want.append(n)
-        segments = arith._odd_segments(limit, _order_filter(k, limit))
-        assert [n for odds, keep in segments for n in compress(odds, keep)] == want
+        # want has no repeats, so this also checks that each comes once
+        assert sorted(_fermat_candidates(k, limit)) == want
 
     @seed(20170401)
     @settings(max_examples=10, deadline=None, database=None)
     @given(st.integers(min_value=2, max_value=10**4), st.integers(min_value=2, max_value=30000))
-    @example(211, 10000)  # 211 == 1 (mod 2, 3, 5 and 7): order 1 for those
-    @example(67, 5000)  # the largest sieving prime: none of its multiples pass
+    @example(211, 10000)  # a prime above sqrt(limit) that divides k
+    @example(67, 5000)  # the largest prime below sqrt(limit), dividing k
     @example(9973, 5000)  # larger than the limit
     def test_agrees_with_naive_sweep_property(self, k, limit):
         assert enumerate_pseudoprimes(k, limit) == naive_pseudoprime_sweep(k, limit)
