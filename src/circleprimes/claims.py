@@ -24,7 +24,7 @@ pseudoprime precondition from the row, then call the kernel.  The sweep
 trusts its own construction (pseudoprimes from enumerate_pseudoprimes,
 factors from factorize, semiprimes from sieved primes), so its one loop
 calls the kernels directly.  iter_suite makes a ClaimResult of each
-outcome; run_suite counts them and builds one only for a failure.
+outcome, run_suite only of a failure, and verify --records of none.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ plain text by default; --format json emits one object per line and
 --format csv a header plus rows, both carrying the same fields.
 
 Exit codes: 0 success / no failures, 1 a claim failure was found,
-2 usage or resource error.
+2 usage or resource error, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from typing import Iterable
 
@@ -23,7 +24,7 @@ from .claims import (
     ClaimId,
     SweepConfig,
     Verdict,
-    iter_suite,
+    _outcomes,
     run_suite,
 )
 from .pseudoprimes import _korselt, enumerate_pseudoprimes
@@ -140,55 +141,49 @@ def _cmd_verify(args) -> int:
         claims=args.claims or ALL_CLAIMS,
     )
     if args.records:
-        failures = 0
-        if args.format == "csv":
-            print("claim_id,params,verdict,witness")
-        for result in iter_suite(config, threads=args.threads):
-            failures += result.verdict is Verdict.FAILS
-            claim, verdict = result.claim.value, result.verdict.value
-            params = " ".join(f"{name}={value}" for name, value in result.params)
-            witness = result.witness or ""
+        write, fmt, failures, current = sys.stdout.write, args.format, 0, None
+        if fmt == "csv":
+            write("claim_id,params,verdict,witness\n")
+        for claim, names, values, outcome in _outcomes(config, args.threads):
+            if claim is not current:
+                current, cid = claim, claim.value
+                template = " ".join(f"{name}=%d" for name in names)
+            params = template % values
+            if outcome is None:
+                verdict, witness = "holds", ""
+            elif isinstance(outcome, Verdict):
+                verdict, witness = outcome.value, ""
+            else:
+                verdict, witness, failures = "fails", outcome, failures + 1
             # params and witnesses are printable ASCII with no quote, comma or
             # backslash, so these are the bytes of json.dumps and csv.writer
-            if args.format == "json":
-                print(f'{{"claim_id": "{claim}", "params": "{params}", '
-                      f'"verdict": "{verdict}", "witness": "{witness}"}}')
-            elif args.format == "csv":
-                print(f"{claim},{params},{verdict},{witness}")
+            if fmt == "json":
+                write(f'{{"claim_id": "{cid}", "params": "{params}", '
+                      f'"verdict": "{verdict}", "witness": "{witness}"}}\n')
+            elif fmt == "csv":
+                write(f"{cid},{params},{verdict},{witness}\n")
             else:
-                print(f"{claim} {params} {verdict}" + (f" witness: {witness}" if witness else ""))
+                write(f"{cid} {params} {verdict}{witness and ' witness: ' + witness}\n")
         return 1 if failures else 0
 
     report = run_suite(config, threads=args.threads)
+    # the tally fields are the verdicts' values, in Verdict order
+    fields = ("claim_id", "checked", *(verdict.value for verdict in Verdict))
     rows = [
-        {
-            "claim_id": claim.value,
-            "checked": sum(counts.values()),
-            "holds": counts[Verdict.HOLDS],
-            "fails": counts[Verdict.FAILS],
-            "degenerate": counts[Verdict.DEGENERATE],
-            "not_applicable": counts[Verdict.NOT_APPLICABLE],
-        }
+        dict(zip(fields, (claim.value, sum(counts.values()), *map(counts.get, Verdict))))
         for claim, counts in report.tallies.items()
     ]
     if args.format == "plain":
         for row in rows:
             print(
-                f"{row['claim_id']:<9} checked {row['checked']:>6}"
-                f"  holds {row['holds']:>6}  fails {row['fails']:>3}"
-                f"  degenerate {row['degenerate']:>4}"
-                f"  not-applicable {row['not_applicable']:>6}"
+                "{claim_id:<9} checked {checked:>6}  holds {holds:>6}  fails {fails:>3}"
+                "  degenerate {degenerate:>4}  not-applicable {not_applicable:>6}".format_map(row)
             )
         for failure in report.failures:
-            record = failure.as_record()
-            print(f"FAIL {record['claim_id']} {record['params']}: {record['witness']}")
+            print("FAIL {claim_id} {params}: {witness}".format_map(failure.as_record()))
         print(f"total {report.total} checks, {report.failure_count} failures")
     else:
-        _emit_rows(
-            rows,
-            ("claim_id", "checked", "holds", "fails", "degenerate", "not_applicable"),
-            args.format, sys.stdout,
-        )
+        _emit_rows(rows, fields, args.format, sys.stdout)
     return 1 if report.failure_count else 0
 
 
@@ -254,6 +249,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ResourceLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes to devnull,
+        # so the interpreter's last flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as if the signal had ended the process
 
 
 if __name__ == "__main__":

@@ -2,7 +2,11 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -223,27 +227,27 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_records_rows_leave_as_they_arrive(self, capsys, monkeypatch, fmt):
-        first = ClaimResult(ClaimId.T1, (("k", 2), ("n", 341)), Verdict.HOLDS)
-        second = ClaimResult(ClaimId.T1, (("k", 2), ("n", 561)), Verdict.HOLDS)
+        first = (ClaimId.T1, ("k", "n"), (2, 341), None)
+        second = (ClaimId.T1, ("k", "n"), (2, 561), None)
         printed_before_second = []
 
-        def results(config, threads):
+        def outcomes(config, threads):
             yield first
             printed_before_second.append(capsys.readouterr().out)
             yield second
 
-        monkeypatch.setattr(cli, "iter_suite", results)
+        monkeypatch.setattr(cli, "_outcomes", outcomes)
         code, rest, _ = run_cli(
             capsys, "verify", "--base", "2", "--max-n", "600", "--records", "--format", fmt
         )
         assert code == 0
         early = printed_before_second[0]
         rows = parse_json_lines(early) if fmt == "json" else parse_csv(early)
-        assert rows == [first.as_record()]
+        assert rows == [claims._result(*first).as_record()]
         assert "561" not in early and "561" in rest
 
     def test_records_csv_header_when_empty(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "iter_suite", lambda config, threads: iter(()))
+        monkeypatch.setattr(cli, "_outcomes", lambda config, threads: iter(()))
         code, out, _ = run_cli(
             capsys, "verify", "--base", "2", "--max-n", "600", "--records", "--format", "csv"
         )
@@ -331,6 +335,12 @@ class TestVerifyCommand:
         writer.writeheader()
         writer.writerows(records)
         assert code == 1 and out == expected.getvalue()
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 1 and out == "".join(
+            f"{r['claim_id']} {r['params']} {r['verdict']}"
+            + (f" witness: {r['witness']}" if r["witness"] else "") + "\n"
+            for r in records
+        )
 
     def test_failure_lines_from_a_failing_kernel(self, capsys, monkeypatch):
         break_gb33_35(monkeypatch)
@@ -344,15 +354,30 @@ class TestVerifyCommand:
         assert out.splitlines()[-1] == f"total {len(results)} checks, {len(failing)} failures"
 
     def test_failure_exits_one_in_records_mode(self, capsys, monkeypatch):
-        failing = ClaimResult(
-            ClaimId.T1, (("k", 2), ("n", 341)), Verdict.FAILS, witness="residue 7"
-        )
-        monkeypatch.setattr(cli, "iter_suite", lambda config, threads: iter([failing]))
+        failing = (ClaimId.T1, ("k", "n"), (2, 341), "residue 7")
+        monkeypatch.setattr(cli, "_outcomes", lambda config, threads: iter([failing]))
         code, out, _ = run_cli(
             capsys, "verify", "--base", "2", "--max-n", "400", "--records"
         )
         assert code == 1
         assert "witness: residue 7" in out
+
+    def test_closed_pipe_exits_141_without_traceback(self):
+        # about 680 KB of rows: far more than a pipe buffers, so the CLI is
+        # still writing when the reader goes away
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        argv = ["verify", "--base", "2", "--base", "3", "--max-n", "3000", "--records",
+                "--format", "json"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "circleprimes.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            assert json.loads(proc.stdout.readline())["claim_id"] == "T1"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert "Traceback" not in err.decode()
+        assert proc.returncode == 141
 
 
 class TestDeterminism:
