@@ -165,8 +165,7 @@ def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
         if d * d > m:
             found.append((m, 1))  # cofactor below the square of the last trial
         else:
-            found.extend(_factor_hard(m))
-    found.sort()
+            found.extend(_factor_hard(m))  # sorted, all above the trial divisors
     return tuple(found)
 
 

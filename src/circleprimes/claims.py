@@ -303,11 +303,9 @@ def check_T1(k: int, n: int) -> ClaimResult:
     """n | k**n - k - pi_n, where pi_n counts the exact-period-n points.
 
     Applicable to any base-k pseudoprime n; evaluated with pi_mod so n
-    around a few hundred needs no multi-hundred-bit integers.
+    around a few hundred needs no multi-hundred-bit integers.  k > 1 and
+    n >= 2 are checked by is_pseudoprime.
     """
-    _require_base_and_primes(k)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
     outcome = _t1(k, n) if is_pseudoprime(k, n) else Verdict.NOT_APPLICABLE
     return _result(ClaimId.T1, ("k", "n"), (k, n), outcome)
 
@@ -499,12 +497,10 @@ def _odd_semiprimes(max_n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _outcomes(config: SweepConfig, threads: int) -> Iterator[tuple]:
+def _outcomes(config: SweepConfig) -> Iterator[tuple]:
     """The one sweep loop: (claim, param names, args, kernel outcome) per
     tuple in canonical order: claim, then base, then n, then auxiliary
     parameters."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     rows = [(claim, _REGISTRY[claim]) for claim in config.claims]
     sources = {row.source for _, row in rows}
     # pseudoprimes are enumerated only for claims that read them (not T2)
@@ -530,22 +526,24 @@ def _outcomes(config: SweepConfig, threads: int) -> Iterator[tuple]:
                     yield claim, names, args, kernel(*args)
 
 
-def iter_suite(config: SweepConfig, threads: int = 1) -> Iterator[ClaimResult]:
-    """One ClaimResult per tuple in range, lazily, in canonical order.
-    threads must be >= 1 and is otherwise ignored: evaluation is CPU-bound
-    under the interpreter lock, so it runs on one thread."""
-    return starmap(_result, _outcomes(config, threads))
+def iter_suite(config: SweepConfig) -> Iterator[ClaimResult]:
+    """One ClaimResult per tuple in range, lazily, in canonical order, from
+    one thread: evaluation is CPU-bound under the interpreter lock."""
+    return starmap(_result, _outcomes(config))
 
 
 def run_suite(config: SweepConfig, threads: int = 1) -> SuiteReport:
     """The per-claim tallies and the failures of iter_suite's results,
     counted from the kernel outcomes with a ClaimResult built only for a
-    failure.  threads is validated as by iter_suite, and otherwise ignored."""
+    failure.  threads must be >= 1 and is otherwise ignored, as the sweep
+    runs on one thread; it stays for callers that still pass it."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     # per claim, counts in Verdict order: holds, fails, degenerate, not applicable
     counts = {claim: [0, 0, 0, 0] for claim in config.claims}
     failures: list[ClaimResult] = []
     current = tally = None
-    for claim, names, args, outcome in _outcomes(config, threads):
+    for claim, names, args, outcome in _outcomes(config):
         if claim is not current:
             current, tally = claim, counts[claim]
         if outcome is None:

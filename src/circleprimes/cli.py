@@ -15,7 +15,6 @@ import csv
 import json
 import os
 import sys
-from typing import Iterable
 
 from .arith import factorize
 from .circlemap import ResourceLimitError, fixed_points, period_spectrum
@@ -61,16 +60,17 @@ def _claim_list(text: str) -> tuple[ClaimId, ...]:
     return tuple(ids)
 
 
-def _emit_rows(rows: Iterable[dict], fields: tuple[str, ...], fmt: str, out) -> None:
-    """Line-delimited json objects, or csv with a header even when empty.
-
-    Each row is written as soon as the iterable yields it.
-    """
-    if fmt == "json":
+def _emit_rows(rows: list[dict], fields: tuple[str, ...], fmt: str, plain) -> None:
+    """One line per row: plain(row), a json object, or csv under a header
+    that is written even when there are no rows."""
+    if fmt == "plain":
         for row in rows:
-            print(json.dumps(row), file=out)
-    elif fmt == "csv":
-        writer = csv.DictWriter(out, fieldnames=list(fields), lineterminator="\n")
+            print(plain(row))
+    elif fmt == "json":
+        for row in rows:
+            print(json.dumps(row))
+    else:
+        writer = csv.DictWriter(sys.stdout, fieldnames=list(fields), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
 
@@ -79,11 +79,8 @@ def _cmd_fixed_points(args) -> int:
     rows = [
         {"numerator": j, "denominator": d} for j, d in fixed_points(args.k)
     ]
-    if args.format == "plain":
-        for row in rows:
-            print(f"{row['numerator']}/{row['denominator']} · 2π")
-    else:
-        _emit_rows(rows, ("numerator", "denominator"), args.format, sys.stdout)
+    _emit_rows(rows, ("numerator", "denominator"), args.format,
+               "{numerator}/{denominator} · 2π".format_map)
     return 0
 
 
@@ -93,13 +90,11 @@ def _cmd_spectrum(args) -> int:
         {"period": d, "points": points, "orbits": orbits}
         for d, (points, orbits) in sorted(spectrum.entries.items())
     ]
+    _emit_rows(rows, ("period", "points", "orbits"), args.format,
+               "period {period}: {points} points, {orbits} orbits".format_map)
     if args.format == "plain":
-        for row in rows:
-            print(f"period {row['period']}: {row['points']} points, {row['orbits']} orbits")
         total = sum(row["points"] for row in rows)
         print(f"total {total} points = {args.k}^{args.n} - 1")
-    else:
-        _emit_rows(rows, ("period", "points", "orbits"), args.format, sys.stdout)
     return 0
 
 
@@ -122,29 +117,26 @@ def _cmd_pseudoprimes(args) -> int:
             "factorization": _factor_string(factors),
             "carmichael": carmichael,
         })
-    if args.format == "plain":
-        for row in rows:
-            suffix = " [carmichael]" if row["carmichael"] else ""
-            print(f"{row['n']} = {row['factorization']}{suffix}")
-    else:
-        _emit_rows(rows, ("n", "base", "factorization", "carmichael"), args.format, sys.stdout)
+    plain = "{n} = {factorization}".format_map
+    _emit_rows(rows, ("n", "base", "factorization", "carmichael"), args.format,
+               lambda row: plain(row) + (" [carmichael]" if row["carmichael"] else ""))
     return 0
 
 
 def _cmd_verify(args) -> int:
     config = SweepConfig(
-        bases=tuple(args.base or [2]),
+        bases=tuple(args.base or SweepConfig.bases),
         max_n=args.max_n,
         rs_min=args.rs_min,
         rs_max=args.rs_max,
         qpmj_max=args.qpmj_max,
-        claims=args.claims or ALL_CLAIMS,
+        claims=args.claims or SweepConfig.claims,
     )
     if args.records:
         write, fmt, failures, current = sys.stdout.write, args.format, 0, None
         if fmt == "csv":
             write("claim_id,params,verdict,witness\n")
-        for claim, names, values, outcome in _outcomes(config, args.threads):
+        for claim, names, values, outcome in _outcomes(config):
             if claim is not current:
                 current, cid = claim, claim.value
                 template = " ".join(f"{name}=%d" for name in names)
@@ -166,24 +158,20 @@ def _cmd_verify(args) -> int:
                 write(f"{cid} {params} {verdict}{witness and ' witness: ' + witness}\n")
         return 1 if failures else 0
 
-    report = run_suite(config, threads=args.threads)
+    report = run_suite(config)
     # the tally fields are the verdicts' values, in Verdict order
     fields = ("claim_id", "checked", *(verdict.value for verdict in Verdict))
     rows = [
         dict(zip(fields, (claim.value, sum(counts.values()), *map(counts.get, Verdict))))
         for claim, counts in report.tallies.items()
     ]
+    _emit_rows(rows, fields, args.format,
+               "{claim_id:<9} checked {checked:>6}  holds {holds:>6}  fails {fails:>3}"
+               "  degenerate {degenerate:>4}  not-applicable {not_applicable:>6}".format_map)
     if args.format == "plain":
-        for row in rows:
-            print(
-                "{claim_id:<9} checked {checked:>6}  holds {holds:>6}  fails {fails:>3}"
-                "  degenerate {degenerate:>4}  not-applicable {not_applicable:>6}".format_map(row)
-            )
         for failure in report.failures:
             print("FAIL {claim_id} {params}: {witness}".format_map(failure.as_record()))
         print(f"total {report.total} checks, {report.failure_count} failures")
-    else:
-        _emit_rows(rows, fields, args.format, sys.stdout)
     return 1 if report.failure_count else 0
 
 
@@ -222,12 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the divisibility-identity suite")
     p.add_argument("--base", type=_int_at_least(2), action="append",
-                   help="base k; repeatable (default: 2)")
-    p.add_argument("--max-n", type=_int_at_least(1), default=1000,
+                   help=f"base k; repeatable (default: {', '.join(map(str, SweepConfig.bases))})")
+    p.add_argument("--max-n", type=_int_at_least(1), default=SweepConfig.max_n,
                    help="sweep pseudoprimes up to this bound")
-    p.add_argument("--rs-min", type=_any_int, default=-3)
-    p.add_argument("--rs-max", type=_any_int, default=3)
-    p.add_argument("--qpmj-max", type=_int_at_least(1), default=3)
+    p.add_argument("--rs-min", type=_any_int, default=SweepConfig.rs_min)
+    p.add_argument("--rs-max", type=_any_int, default=SweepConfig.rs_max)
+    p.add_argument("--qpmj-max", type=_int_at_least(1), default=SweepConfig.qpmj_max)
     p.add_argument("--claims", type=_claim_list, default=None,
                    help="comma-separated claim ids (default: all)")
     p.add_argument("--records", action="store_true",

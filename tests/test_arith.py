@@ -163,6 +163,10 @@ class TestMoebius:
             total = sum(moebius(d) for d in divisors(n))
             assert total == (1 if n == 1 else 0), n
 
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            moebius(0)
+
 
 class TestTotient:
     def test_examples(self):
@@ -178,6 +182,10 @@ class TestTotient:
         # sum of phi(d) over d | n equals n
         for n in range(1, 10**4 + 1):
             assert sum(totient(d) for d in divisors(n)) == n
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            totient(0)
 
 
 class TestPrimesUpTo:

@@ -271,6 +271,10 @@ class TestPiMod:
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):
             pi_mod(2, 4, 0)
+        with pytest.raises(ValueError):
+            pi_mod(1, 4, 5)
+        with pytest.raises(ValueError):
+            pi_mod(2, 0, 5)
 
 
 class TestMoebiusPath:

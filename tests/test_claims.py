@@ -399,6 +399,10 @@ class TestSweepConfig:
             SweepConfig(rs_min=2, rs_max=-2)
         with pytest.raises(ValueError):
             SweepConfig(qpmj_max=0)
+        with pytest.raises(ValueError):
+            SweepConfig(max_n=0)
+        with pytest.raises(ValueError):
+            SweepConfig(claims=("T9",))
 
 
 class TestRunSuite:
@@ -445,11 +449,7 @@ class TestRunSuite:
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
         config = SweepConfig(bases=(2, 3), max_n=700)
-        sequential = list(iter_suite(config, threads=1))
-        threaded = list(iter_suite(config, threads=4))
-        assert sequential == threaded
-        with pytest.raises(ValueError):
-            next(iter_suite(config, threads=0))
+        assert run_suite(config, threads=1) == run_suite(config, threads=4)
         with pytest.raises(ValueError):
             run_suite(config, threads=0)
 

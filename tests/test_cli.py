@@ -81,6 +81,17 @@ class TestFixedPointsCommand:
         for j, c in zip(json_rows, csv_rows):
             assert j == {key: int(value) for key, value in c.items()}
 
+    @pytest.mark.parametrize("fmt, digest", [
+        ((), "3ead12147ac71fa599e29bb9068e1c323ce65cce6906864c60c72af6689eab83"),
+        (("--format", "json"), "a26ff1949fdfd58042fc2fe3b06ceb0f5cbd7839304e7a0e5dae83ba4d915887"),
+        (("--format", "csv"), "e17222f71c7ed7b1260bed740a994088cdad1976298d0ae4e673173e0c045f96"),
+    ])
+    def test_fixed_points_golden_digest(self, capsys, fmt, digest):
+        # frozen stdout: the six angles 2*pi*j/6 of the map theta -> 7*theta
+        code, out, _ = run_cli(capsys, "fixed-points", "--k", "7", *fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestSpectrumCommand:
     def test_2_4_rows_and_footer(self, capsys):
@@ -181,6 +192,24 @@ class TestPseudoprimesCommand:
 
     def test_limit_validation(self, capsys):
         assert usage_error_code(capsys, "pseudoprimes", "--base", "2", "--limit", "1") == 2
+        assert usage_error_code(capsys, "pseudoprimes", "--base", "2", "--limit", "x") == 2
+
+    @pytest.mark.parametrize("flags, digest", [
+        ((), "fa036b1dff033501cbde8ba9eb2c690b6d36351d08637e55e56906c6c5f5595e"),
+        (("--format", "json"), "26a359a72f8a07d82992b9060de12fe579b370ec545ee687af16ec2f429872e3"),
+        (("--format", "csv"), "e9475eaa61c22447eff97cc11d70d722621e758fb8447f80add333a72add4207"),
+        (("--carmichael",), "51ed595a251e1281b2cbb680c2c4089bc2e380c1b2f5d734b81012ffb7958816"),
+        (("--carmichael", "--format", "json"),
+         "861a72a407e4111ec3193251900c5b9e7c3dc09e79bbeff83a4674a8e85d5f2a"),
+        (("--carmichael", "--format", "csv"),
+         "ec2879ae8e0e17c6aeeb4e476e65b168fba12ea603828b2f02e266a5c2fea2e7"),
+    ])
+    def test_pseudoprimes_golden_digest(self, capsys, flags, digest):
+        # frozen stdout: the 76 base-3 pseudoprimes to 10**5, seven of them
+        # with a prime power (121 = 11^2 first) and 14 Carmichael numbers
+        code, out, _ = run_cli(capsys, "pseudoprimes", "--base", "3", "--limit", "100000", *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestVerifyCommand:
@@ -231,7 +260,7 @@ class TestVerifyCommand:
         second = (ClaimId.T1, ("k", "n"), (2, 561), None)
         printed_before_second = []
 
-        def outcomes(config, threads):
+        def outcomes(config):
             yield first
             printed_before_second.append(capsys.readouterr().out)
             yield second
@@ -247,7 +276,7 @@ class TestVerifyCommand:
         assert "561" not in early and "561" in rest
 
     def test_records_csv_header_when_empty(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_outcomes", lambda config, threads: iter(()))
+        monkeypatch.setattr(cli, "_outcomes", lambda config: iter(()))
         code, out, _ = run_cli(
             capsys, "verify", "--base", "2", "--max-n", "600", "--records", "--format", "csv"
         )
@@ -312,7 +341,7 @@ class TestVerifyCommand:
             tallies={ClaimId.GB33_35: {v: int(v is Verdict.FAILS) for v in Verdict}},
             failures=(failing,),
         )
-        monkeypatch.setattr(cli, "run_suite", lambda config, threads: report)
+        monkeypatch.setattr(cli, "run_suite", lambda config: report)
         code, out, _ = run_cli(capsys, "verify", "--base", "2", "--max-n", "400")
         assert code == 1
         assert "FAIL GB33_35" in out
@@ -355,25 +384,29 @@ class TestVerifyCommand:
 
     def test_failure_exits_one_in_records_mode(self, capsys, monkeypatch):
         failing = (ClaimId.T1, ("k", "n"), (2, 341), "residue 7")
-        monkeypatch.setattr(cli, "_outcomes", lambda config, threads: iter([failing]))
+        monkeypatch.setattr(cli, "_outcomes", lambda config: iter([failing]))
         code, out, _ = run_cli(
             capsys, "verify", "--base", "2", "--max-n", "400", "--records"
         )
         assert code == 1
         assert "witness: residue 7" in out
 
-    def test_closed_pipe_exits_141_without_traceback(self):
-        # about 680 KB of rows: far more than a pipe buffers, so the CLI is
-        # still writing when the reader goes away
+    @pytest.mark.parametrize("argv, first_line", [
+        (["verify", "--base", "2", "--base", "3", "--max-n", "3000", "--records",
+          "--format", "json"], b'{"claim_id": "T1", "params": "k=2 n=341", '),
+        (["fixed-points", "--k", "200000", "--format", "csv"], b"numerator,denominator\n"),
+    ], ids=["records", "table"])
+    def test_closed_pipe_exits_141_without_traceback(self, argv, first_line):
+        # about 680 KB of records, or 2.7 MB of one table through _emit_rows:
+        # far more than a pipe buffers, so the CLI is still writing when the
+        # reader goes away
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
-        argv = ["verify", "--base", "2", "--base", "3", "--max-n", "3000", "--records",
-                "--format", "json"]
         with subprocess.Popen(
             [sys.executable, "-m", "circleprimes.cli", *argv],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         ) as proc:
-            assert json.loads(proc.stdout.readline())["claim_id"] == "T1"
+            assert proc.stdout.readline().startswith(first_line)
             proc.stdout.close()
             _, err = proc.communicate(timeout=60)
         assert "Traceback" not in err.decode()

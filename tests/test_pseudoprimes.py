@@ -66,6 +66,15 @@ class TestIsPseudoprime:
         assert not is_pseudoprime(341, 341)  # reduces to 0
         assert is_pseudoprime(342, 341)  # reduces to 1, congruence trivial
 
+    def test_rejects_bad_arguments(self):
+        # check_T1 has no checks of its own: these are T1's, in this order
+        with pytest.raises(ValueError, match="base must be > 1, got 1"):
+            is_pseudoprime(1, 1)
+        with pytest.raises(ValueError, match="base must be > 1, got 1"):
+            is_pseudoprime(1, 9)
+        with pytest.raises(ValueError, match="n must be >= 2, got 1"):
+            is_pseudoprime(2, 1)
+
     def test_no_prime_is_a_pseudoprime(self):
         sieve = prime_sieve(10**4)
         primes = [n for n in range(2, 10**4 + 1) if sieve[n]]
@@ -150,6 +159,8 @@ class TestEnumeratePseudoprimes:
     def test_rejects_bad_limit(self):
         with pytest.raises(ValueError):
             enumerate_pseudoprimes(2, 1)
+        with pytest.raises(ValueError):
+            enumerate_pseudoprimes(1, 100)
 
 
 class TestIsCarmichael:
@@ -157,6 +168,10 @@ class TestIsCarmichael:
         assert is_carmichael(561)
         assert not is_carmichael(341)  # 340 is not divisible by 30
         assert not is_carmichael(9)  # not squarefree
+
+    def test_rejects_n_below_two(self):
+        with pytest.raises(ValueError):
+            is_carmichael(1)
 
     def test_known_list_below_ten_thousand(self):
         assert [n for n in range(2, 10**4 + 1) if is_carmichael(n)] == CARMICHAEL_BELOW_10K
@@ -183,6 +198,10 @@ class TestEulerTheoremCheck:
     def test_rejects_shared_factor(self):
         with pytest.raises(ValueError):
             euler_theorem_check(6, 9)
+        with pytest.raises(ValueError):
+            euler_theorem_check(0, 5)
+        with pytest.raises(ValueError):
+            euler_theorem_check(2, 0)
 
     def test_always_holds_on_coprime_range(self):
         for n in range(1, 2001):
