@@ -21,7 +21,6 @@ __all__ = [
     "factorize",
     "is_prime",
     "moebius",
-    "odd_composite_segments",
     "primes_up_to",
     "totient",
 ]
@@ -69,7 +68,7 @@ _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 # 101 is the next prime: a composite below 101**2 has a factor in _SMALL_PRIMES
 _TRIAL_DECIDES_BELOW = 101 * 101
 
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_WITNESSES = _SMALL_PRIMES[:13]
 # (psi_t, t): psi_t is the least odd composite that is a strong probable
 # prime to each of the first t prime bases (OEIS A014233), so below psi_t
 # those t bases prove primality.  psi_1 = 2047 lies below
@@ -245,21 +244,16 @@ def totient(n: int) -> int:
 
 # odd numbers per sieve segment: 32 KiB of flags, small enough for the cache
 _SEGMENT = 1 << 15
-_COMPOSITE_TO_PRIME = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-def odd_composite_segments(limit: int) -> Iterator[tuple[range, bytearray]]:
-    """Segmented sieve of Eratosthenes over the odd numbers 3..limit.
-
-    Yields (odds, composite) in ascending order, where odds is a range of
-    consecutive odd numbers and composite[i] is 1 iff odds[i] is
-    composite.  Memory is O(sqrt(limit) + _SEGMENT): the odd primes up to
-    sqrt(limit), themselves sieved by primes_up_to, and one segment.
-    """
-    sieving = primes_up_to(math.isqrt(limit))[1:]
+def _odd_primes(limit: int) -> Iterator[int]:
+    """The odd primes <= limit, ascending: a segmented sieve of Eratosthenes
+    over the odd numbers, in O(sqrt(limit) + _SEGMENT) memory."""
+    # below 9 no odd number is composite, and the recursion stops
+    sieving = list(_odd_primes(math.isqrt(limit))) if limit >= 9 else []
     for lo in range(3, limit + 1, 2 * _SEGMENT):
         odds = range(lo, min(lo + 2 * _SEGMENT, limit + 1), 2)
-        composite = bytearray(len(odds))
+        prime = bytearray(b"\x01") * len(odds)
         for p in sieving:
             square = p * p
             if square > odds[-1]:
@@ -269,16 +263,10 @@ def odd_composite_segments(limit: int) -> Iterator[tuple[range, bytearray]]:
             else:
                 # lo + 2*i == 0 (mod p); (p + 1) // 2 inverts 2 mod p
                 i = -lo * ((p + 1) // 2) % p
-            composite[i::p] = b"\x01" * len(range(i, len(odds), p))
-        yield odds, composite
+            prime[i::p] = bytes(len(range(i, len(odds), p)))
+        yield from compress(odds, prime)
 
 
 def primes_up_to(limit: int) -> list[int]:
     """All primes <= limit, ascending."""
     return [2, *_odd_primes(limit)] if limit >= 2 else []
-
-
-def _odd_primes(limit: int) -> Iterator[int]:
-    """The odd primes <= limit, ascending, one sieve segment at a time."""
-    for odds, composite in odd_composite_segments(limit):
-        yield from compress(odds, composite.translate(_COMPOSITE_TO_PRIME))

@@ -35,7 +35,7 @@ from itertools import product, starmap
 from math import gcd, isqrt, prod
 from typing import Callable, Iterator, NamedTuple
 
-from .arith import factorize, is_prime, primes_up_to
+from .arith import _odd_primes, factorize, is_prime
 from .circlemap import pi_mod
 from .pseudoprimes import enumerate_pseudoprimes, is_pseudoprime
 
@@ -484,7 +484,7 @@ def _pseudoprime_families(base: int, max_n: int) -> dict[str, list[tuple[int, ..
 
 def _odd_semiprimes(max_n: int) -> list[tuple[int, int]]:
     """(p, q) for every p*q <= max_n with 2 < p < q prime, by product."""
-    primes = primes_up_to(max_n // 3)[1:]
+    primes = list(_odd_primes(max_n // 3))
     out = []
     for i, p in enumerate(primes):
         if p > isqrt(max_n):

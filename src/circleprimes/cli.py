@@ -90,10 +90,17 @@ def _cmd_spectrum(args) -> int:
         {"period": d, "points": points, "orbits": orbits}
         for d, (points, orbits) in sorted(spectrum.entries.items())
     ]
+    total = sum(row["points"] for row in rows)
+    # str() of an int over the interpreter's digit limit raises mid-table, so
+    # refuse before the first row: plain prints the total, json and csv points
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    largest = total if args.format == "plain" else max(row["points"] for row in rows)
+    if digits and largest >= 10**digits:
+        raise ResourceLimitError(f"k={args.k}, n={args.n} gives an integer over {digits} "
+                                 "digits, the interpreter's limit for printing one")
     _emit_rows(rows, ("period", "points", "orbits"), args.format,
                "period {period}: {points} points, {orbits} orbits".format_map)
     if args.format == "plain":
-        total = sum(row["points"] for row in rows)
         print(f"total {total} points = {args.k}^{args.n} - 1")
     return 0
 

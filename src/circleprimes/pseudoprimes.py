@@ -5,7 +5,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import Iterator
 
-from .arith import Factorization, _odd_primes, factorize, is_prime, primes_up_to, totient
+from .arith import Factorization, _odd_primes, factorize, is_prime, totient
 
 __all__ = [
     "enumerate_pseudoprimes",
@@ -71,7 +71,7 @@ def _fermat_candidates(k: int, limit: int) -> Iterator[int]:
     hundred of its composites at limit 10**6.
     """
     root = isqrt(limit)
-    small = primes_up_to(root)[1:]
+    small = list(_odd_primes(root))
     stack = [(1, 0)]
     while stack:
         n, i = stack.pop()

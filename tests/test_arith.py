@@ -9,7 +9,6 @@ from circleprimes.arith import (
     factorize,
     is_prime,
     moebius,
-    odd_composite_segments,
     primes_up_to,
     totient,
 )
@@ -200,17 +199,10 @@ class TestPrimesUpTo:
         ]
 
     def test_segment_edges(self, monkeypatch):
-        # 8 odd numbers per segment: segments start at 3, 19, 35, ...
+        # 8 odd numbers per segment: segments start at 3, 19, 35, ..., so
+        # every limit covers each way a segment can end, and limits 8, 9
+        # and 10 cross the guard that stops the sieve's recursion at 9
         monkeypatch.setattr(arith, "_SEGMENT", 8)
-        primes = [n for n in range(400) if trial_division_is_prime(n)]
-        for start in range(3, 400, 16):
-            for limit in range(start - 2, start + 3):
-                assert primes_up_to(limit) == [p for p in primes if p <= limit], limit
-
-    def test_segments_cover_the_odd_numbers(self, monkeypatch):
-        monkeypatch.setattr(arith, "_SEGMENT", 8)
-        seen = []
-        for odds, composite in odd_composite_segments(1000):
-            assert len(odds) == len(composite) <= 8
-            seen += [(n, bool(c)) for n, c in zip(odds, composite)]
-        assert seen == [(n, not trial_division_is_prime(n)) for n in range(3, 1001, 2)]
+        primes = [n for n in range(401) if trial_division_is_prime(n)]
+        for limit in range(401):
+            assert primes_up_to(limit) == [p for p in primes if p <= limit], limit

@@ -132,13 +132,47 @@ class TestSpectrumCommand:
         (13, 210, (), "238d922a780ec6b241a73d039ebce54600c1fbcc8824620d833a24d53db6af32"),
         (13, 210, ("--format", "json"), "8e8691dea3eaccc02f81af5b5ddec86cf7e3496a281639b11919823da00a943c"),
         (13, 210, ("--format", "csv"), "26f00025eab128f9feaae6f4329364efe6ba84bfb51ab5cc4eaf35834ed51fe8"),
+        (2, 14284, (), "d0025a2204704829c0e9f55cbcddb73ce2062636b8182d725bf77ac39aa2d4bb"),
+        (2, 14284, ("--format", "json"), "f9a1014853cef4148ab45ee39f63438dc7fbd7a8fea008548e7fcee1db8acafb"),
+        (2, 14284, ("--format", "csv"), "44ebc788e93164b6aed1185bf0c6adf117e755f50fc0abf833cf6f5dbde306a5"),
     ])
     def test_spectrum_golden_digest(self, capsys, k, n, fmt, digest):
-        # frozen stdout: the 24 divisors of 360 = 2**3 * 3**2 * 5, and the 16
-        # of the squarefree 210 = 2 * 3 * 5 * 7 in base 13
+        # frozen stdout: the 24 divisors of 360 = 2**3 * 3**2 * 5, the 16 of
+        # the squarefree 210 = 2 * 3 * 5 * 7 in base 13, and 2**14284 - 1,
+        # which has 4300 digits, the most the default digit limit prints
         code, out, _ = run_cli(capsys, "spectrum", "--k", str(k), "--n", str(n), *fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.fixture
+    def digit_limit(self):
+        """sys.set_int_max_str_digits, with the limit restored afterwards."""
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no integer digit limit")
+        before = sys.get_int_max_str_digits()
+        yield sys.set_int_max_str_digits
+        sys.set_int_max_str_digits(before)
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_digit_limit_refused_before_any_row(self, capsys, digit_limit, fmt):
+        # 2**14285 - 1 and the period-14285 points both have 4301 digits;
+        # the table used to stop partway through and then exit 2
+        digit_limit(4300)
+        code, out, err = run_cli(capsys, "spectrum", "--k", "2", "--n", "14285", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "4300" in err
+
+    @pytest.mark.parametrize("limit, getter", [(5000, True), (0, True), (0, False)],
+                             ids=["raised", "unlimited", "no-getter"])
+    def test_digit_limit_lifted_prints(self, capsys, monkeypatch, digit_limit, limit, getter):
+        # 0 means no limit, as on an interpreter without one (before 3.10.7)
+        digit_limit(limit)
+        if not getter:
+            monkeypatch.delattr(sys, "get_int_max_str_digits")
+        code, out, _ = run_cli(capsys, "spectrum", "--k", "2", "--n", "14285")
+        assert code == 0
+        assert out.splitlines()[-1] == f"total {2**14285 - 1} points = 2^14285 - 1"
 
 
 class TestPseudoprimesCommand:

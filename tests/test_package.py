@@ -13,9 +13,9 @@ from circleprimes import arith, circlemap, claims, cli, pseudoprimes
 
 MODULES = (arith, circlemap, claims, pseudoprimes)
 
-# removed wrappers, by the module that defined them
+# removed public names, by the module that defined them
 REMOVED = {
-    arith: ("gcd", "mod_pow"),
+    arith: ("gcd", "mod_pow", "odd_composite_segments"),
     circlemap: ("step", "enumeration_cap", "ENUM_CAP_ENV"),
     pseudoprimes: ("PseudoprimeRecord", "fermat_congruence_holds", "make_record"),
 }
