@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
+from functools import lru_cache
+from itertools import accumulate, repeat
 from typing import Iterator
 
 from .arith import _factor_pairs, divisors
@@ -41,6 +42,9 @@ DEFAULT_ENUMERATION_CAP = 1 << 26
 # Bit budget for materializing k**n - 1 exactly; counting beyond this must
 # go through pi_mod, which never forms big integers.
 DEFAULT_MODULUS_BIT_BUDGET = 1 << 22
+# Only n below this are memoised: such an n has at most 7 distinct primes, so
+# at most 128 Moebius divisors, and the 4096 entries hold under 7 MB.
+_MEMO_BOUND = 1 << 20
 
 
 class ResourceLimitError(RuntimeError):
@@ -200,14 +204,22 @@ def enumerate_orbits(lattice: PeriodicLattice) -> Iterator[OrbitSummary]:
         word = (m + 1) * x // wrap[i]
 
 
-def _pi_sum(k: int, n: int, m: int | None) -> int:
-    """Sum of mu(n // d) * (pow(k, d, m) - 1) over d | n; m = None is exact.  Only
-    the 2**omega(n) terms with mu != 0 are summed: d = n / prod(S), sign (-1)**len(S),
-    for each subset S of the primes of n, from one factorization of n."""
-    terms = [(1, n)]
+@lru_cache(maxsize=4096)
+def _moebius_divisors(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The d | n with mu(n // d) = +1, then those with mu(n // d) = -1: d = n / prod(S),
+    sign (-1)**len(S), for each subset S of the primes of n, from one factorization of n."""
+    plus, minus = [n], []
     for p, _ in _factor_pairs(n):
-        terms += [(-s, d // p) for s, d in terms]
-    return sum(s * (pow(k, d, m) - 1) for s, d in terms)
+        plus, minus = plus + [d // p for d in minus], minus + [d // p for d in plus]
+    return tuple(plus), tuple(minus)
+
+
+def _pi_sum(k: int, n: int, m: int | None) -> int:
+    """Sum of mu(n // d) * (pow(k, d, m) - 1) over d | n; m = None is exact.  For
+    n > 1 the -1 terms cancel, as half the squarefree n // d have each sign."""
+    plus, minus = (_moebius_divisors if n < _MEMO_BOUND else _moebius_divisors.__wrapped__)(n)
+    total = sum(map(pow, repeat(k), plus, repeat(m)))
+    return total - sum(map(pow, repeat(k), minus, repeat(m))) - (n == 1)
 
 
 def count_exact_period(k: int, n: int) -> int:

@@ -13,6 +13,7 @@ from circleprimes.circlemap import (
     OrbitSummary,
     PeriodicLattice,
     ResourceLimitError,
+    _moebius_divisors,
     count_exact_period,
     enumerate_orbits,
     exact_period,
@@ -291,6 +292,50 @@ class TestMoebiusPath:
         lat = make_lattice(k, n)
         j = data.draw(st.integers(min_value=0, max_value=k**d - 2)) * (lat.modulus // (k**d - 1))
         assert exact_period(LatticePoint(j, lat)) == naive_exact_period(k, n, j)
+
+
+class TestMoebiusMemo:
+    """pi_mod and count_exact_period read the Moebius divisors of an n below
+    2**20 from a bounded memo, and compute those of a larger n afresh."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        _moebius_divisors.cache_clear()
+        yield
+        _moebius_divisors.cache_clear()
+
+    @staticmethod
+    def naive_terms(n):
+        return [(naive_moebius(n // d), d) for d in brute_divisors(n)]
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 30, 97, 360, 1001, 510510])
+    def test_cold_and_warm_agree_with_naive_sum(self, n):
+        # 510510 = 2*3*5*7*11*13*17 has the most primes of any n below 2**20
+        terms = self.naive_terms(n)
+        for _ in range(2):  # the first pass fills the memo, the second reads it
+            for k in (2, 3, 10):
+                if n <= 1001:  # 128 exact powers up to 10**510510 take seconds
+                    assert count_exact_period(k, n) == sum(mu * (k**d - 1) for mu, d in terms)
+                for m in (n, 97, 2**61 - 1):
+                    expected = sum(mu * (pow(k, d, m) - 1) for mu, d in terms) % m
+                    assert pi_mod(k, n, m) == expected, (k, n, m)
+        info = _moebius_divisors.cache_info()
+        assert (info.maxsize, info.currsize, info.misses) == (4096, 1, 1)
+
+    def test_n_from_the_bound_up_is_not_memoised(self):
+        # 9699690 = 2*3*5*...*19: 256 Moebius divisors, one prime more than
+        # any n below 2**20 has
+        n = 9699690
+        terms = self.naive_terms(n)
+        for k in (2, 3, 40):
+            for m in (n, 97, 2**61 - 1):
+                expected = sum(mu * (pow(k, d, m) - 1) for mu, d in terms) % m
+                assert pi_mod(k, n, m) == expected, (k, m)
+        assert pi_mod(2, 1 << 20, 1 << 20) == 0
+        assert count_exact_period(2, 1 << 20) == 2 ** (1 << 20) - 2 ** (1 << 19)
+        assert _moebius_divisors.cache_info().currsize == 0
+        assert pi_mod(2, (1 << 20) - 1, (1 << 20) - 1) == 0
+        assert _moebius_divisors.cache_info().currsize == 1
 
 
 class TestPeriodSpectrum:
