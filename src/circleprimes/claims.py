@@ -8,9 +8,10 @@ Checks report a verdict instead of raising on data-dependent conditions:
 
 * ``holds`` / ``fails`` - the identity was evaluated; a failure carries a
   witness (the offending residue).
-* ``degenerate`` - an exponent evaluated to zero, which is outside the
-  identity's stated domain (k**0 - 1 = 0 is divisible by everything and
-  would silently mask range errors).
+* ``degenerate`` - an exponent evaluated to zero or below, which is
+  outside the identity's stated domain (k**0 - 1 = 0 is divisible by
+  everything and would silently mask range errors).  Only GC39_42 and
+  GE43 can reach it, through r or s below 1.
 * ``not_applicable`` - the pseudoprime precondition is unmet, reported
   separately from ``fails`` so sweeps need no pre-filtering.
 
@@ -29,9 +30,10 @@ outcome, run_suite only of a failure, and verify --records of none.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product, starmap
+from itertools import product, repeat, starmap
 from math import gcd, isqrt, prod
 from typing import Callable, Iterator, NamedTuple
 
@@ -60,7 +62,6 @@ __all__ = [
     "check_TP59_61",
     "iter_suite",
     "run_suite",
-    "t2_sides",
 ]
 
 
@@ -158,7 +159,8 @@ def _result(claim: ClaimId, names, args, outcome: Verdict | str | None) -> Claim
 # preconditions (a base above 1, distinct prime factors whose product is
 # a base-k pseudoprime, auxiliary parameters in their domain) and returns
 # the witness of the first divisibility that fails, None when all hold, or
-# DEGENERATE or NOT_APPLICABLE for a tuple outside the identity's domain.
+# a verdict for a tuple outside the identity's domain: DEGENERATE from
+# _ge43, NOT_APPLICABLE from _t2.
 
 
 def _t1(k: int, n: int) -> str | None:
@@ -187,14 +189,11 @@ def _r24_27(k: int, n1: int, n2: int) -> str | None:
     )
 
 
-def _ga28_32(k: int, n1: int, n2: int, r: int) -> Verdict | str | None:
-    e_cross1 = abs(n1**r - n2)
-    e_cross2 = abs(n2**r - n1)
-    if e_cross1 == 0 or e_cross2 == 0:
-        return Verdict.DEGENERATE
+def _ga28_32(k: int, n1: int, n2: int, r: int) -> str | None:
+    # no exponent is zero: of two distinct primes neither is a power of the other
     return (
-        _power_witness(k, n1**r, n1, k) or _power_witness(k, e_cross1, n1)
-        or _power_witness(k, e_cross2, n2)
+        _power_witness(k, n1**r, n1, k) or _power_witness(k, abs(n1**r - n2), n1)
+        or _power_witness(k, abs(n2**r - n1), n2)
     )
 
 
@@ -229,18 +228,13 @@ def _tp44_47(k: int, n1: int, n2: int, n3: int) -> str | None:
     return None if r == 0 else f"six-term power sum = {r} (mod {n})"
 
 
-def _tp59_61(
-    k: int, n1: int, n2: int, n3: int, m: int = 1, j: int = 1
-) -> Verdict | str | None:
-    # with the default m = j = 1 this is the TP48_58 kernel
-    e1 = j * abs(n2 * n3 - n1**m)
-    e2 = j * abs(n1 * n3 - n2**m)
-    e3 = j * abs(n1 * n2 - n3**m)
-    if 0 in (e1, e2, e3):
-        return Verdict.DEGENERATE
+def _tp59_61(k: int, n1: int, n2: int, n3: int, m: int = 1, j: int = 1) -> str | None:
+    # with the default m = j = 1 this is the TP48_58 kernel; no exponent is
+    # zero, as unique factorization rules out ni**m = nj*nl for distinct primes
     return (
-        _power_witness(k, e1, n1) or _power_witness(k, e2, n2)
-        or _power_witness(k, e3, n3)
+        _power_witness(k, j * abs(n2 * n3 - n1**m), n1)
+        or _power_witness(k, j * abs(n1 * n3 - n2**m), n2)
+        or _power_witness(k, j * abs(n1 * n2 - n3**m), n3)
     )
 
 
@@ -310,20 +304,8 @@ def check_T1(k: int, n: int) -> ClaimResult:
     return _result(ClaimId.T1, ("k", "n"), (k, n), outcome)
 
 
-def t2_sides(k: int, n1: int, n2: int) -> tuple[bool, bool]:
-    """The two sides of the product biconditional.
-
-    Left: n1*n2 is a base-k pseudoprime.  Right: n1 | k**n2 - k and
-    n2 | k**n1 - k.
-    """
-    n = n1 * n2
-    left = is_pseudoprime(k, n)
-    right = pow(k, n2, n1) == k % n1 and pow(k, n1, n2) == k % n2
-    return left, right
-
-
 def check_T2(k: int, n1: int, n2: int) -> ClaimResult:
-    """The biconditional itself: the two sides of t2_sides must agree.
+    """n1*n2 is a base-k pseudoprime iff n1 | k**n2 - k and n2 | k**n1 - k.
 
     n1 and n2 must be distinct odd primes coprime to k.  2 is rejected
     because an even product can never be a pseudoprime (they are odd by
@@ -351,7 +333,7 @@ def check_GA28_32(k: int, n1: int, n2: int, r: int) -> ClaimResult:
     and n2 | k**|n2**r - n1| - 1.
 
     Absolute values keep the exponents positive whichever factor is
-    larger; a zero exponent is degenerate.
+    larger; none is zero for distinct primes, so no tuple is degenerate.
     """
     return _check(ClaimId.GA28_32, k, n1, n2, r)
 
@@ -399,8 +381,8 @@ def check_TP48_58(k: int, n1: int, n2: int, n3: int) -> ClaimResult:
     n1 | k**|n2*n3 - n1| - 1, n2 | k**|n1*n3 - n2| - 1, n3 | k**|n1*n2 - n3| - 1.
 
     Absolute values cover the orderings where a product is smaller than
-    the remaining factor; a zero exponent is degenerate.  This is
-    check_TP59_61 with m = j = 1 under its own claim id.
+    the remaining factor; none is zero for distinct primes, so no tuple is
+    degenerate.  This is check_TP59_61 with m = j = 1 under its own claim id.
     """
     return _check(ClaimId.TP48_58, k, n1, n2, n3)
 
@@ -489,10 +471,8 @@ def _odd_semiprimes(max_n: int) -> list[tuple[int, int]]:
     for i, p in enumerate(primes):
         if p > isqrt(max_n):
             break
-        for q in primes[i + 1 :]:
-            if p * q > max_n:
-                break
-            out.append((p, q))
+        # the q with p < q <= max_n // p, without copying the primes above them
+        out += zip(repeat(p), primes[i + 1 : bisect_right(primes, max_n // p)])
     out.sort(key=prod)
     return out
 

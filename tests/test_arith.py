@@ -19,6 +19,7 @@ from oracles import (
     naive_totient,
     prime_sieve,
     trial_division_is_prime,
+    trial_factor,
 )
 
 
@@ -106,6 +107,20 @@ class TestFactorize:
         # a strong pseudoprime to bases 2..37 split into two 12-digit primes
         f = factorize(318665857834031151167461)
         assert f.factors == ((399165290221, 1), (798330580441, 1))
+
+    def test_brent_rho_splits_every_small_odd_composite(self):
+        # 480 of these n need the backtrack from the last block's ys: at
+        # n = 143, c = 1 backtracks to 143 itself and c = 2 backtracks to 11
+        sieve = prime_sieve(20000)
+        for n in range(9, 20000, 2):
+            if not sieve[n]:
+                f = arith._brent_rho(n)
+                assert 1 < f < n and n % f == 0, (n, f)
+
+    def test_semiprime_whose_first_rho_backtracks(self):
+        # both primes exceed the trial-division bound, and c = 1 backtracks
+        n = 1000003 * 1000159
+        assert [p for p, e in factorize(n) for _ in range(e)] == trial_factor(n)
 
 
 class TestFactorizationType:

@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 from oracles import (
     naive_claim_verdict,
+    naive_is_pseudoprime,
     naive_pseudoprime_sweep,
     trial_division_is_prime,
     trial_factor,
@@ -35,7 +36,6 @@ from circleprimes.claims import (
     check_TP59_61,
     iter_suite,
     run_suite,
-    t2_sides,
 )
 from circleprimes.pseudoprimes import enumerate_pseudoprimes
 
@@ -78,6 +78,14 @@ def break_gb33_35(monkeypatch) -> None:
         return Verdict.DEGENERATE if n1 < 20 else row.kernel(k, n1, n2, r)
 
     monkeypatch.setitem(claims._REGISTRY, ClaimId.GB33_35, row._replace(kernel=kernel))
+
+
+def t2_sides(k: int, n1: int, n2: int) -> tuple[bool, bool]:
+    """The two sides of T2's biconditional, from the oracle and plain pow:
+    n1*n2 is a base-k pseudoprime; n1 | k**n2 - k and n2 | k**n1 - k."""
+    left = naive_is_pseudoprime(k, n1 * n2)
+    right = (pow(k, n2) - k) % n1 == 0 and (pow(k, n1) - k) % n2 == 0
+    return left, right
 
 
 def tallies_of(results, claim_ids) -> dict:
@@ -176,6 +184,7 @@ class TestT2:
                 if n > limit:
                     break
                 if gcd(2, n) == 1 and t2_sides(2, p, q) == (True, True):
+                    assert check_T2(2, p, q).verdict is Verdict.HOLDS, (p, q)
                     both_true.append(n)
         assert sorted(both_true) == semiprime_pseudoprimes
 
@@ -505,7 +514,11 @@ class TestRunSuite:
             if result.verdict is Verdict.DEGENERATE:
                 assert result.witness is None
         report = run_suite(config)
-        assert report.tallies[ClaimId.GC39_42][Verdict.DEGENERATE] > 0
+        # only r or s below 1 leaves an exponent at 0 or less; for distinct
+        # primes no GA28_32, TP48_58 or TP59_61 exponent is ever zero
+        degenerate = {c for c, tally in report.tallies.items() if tally[Verdict.DEGENERATE]}
+        assert degenerate == {ClaimId.GC39_42, ClaimId.GE43}
+        assert report.tallies[ClaimId.TP59_61][Verdict.HOLDS] > 0
         assert report.failure_count == 0
 
 

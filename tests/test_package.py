@@ -17,6 +17,7 @@ MODULES = (arith, circlemap, claims, pseudoprimes)
 REMOVED = {
     arith: ("gcd", "mod_pow", "odd_composite_segments"),
     circlemap: ("step", "enumeration_cap", "ENUM_CAP_ENV"),
+    claims: ("t2_sides",),
     pseudoprimes: ("PseudoprimeRecord", "fermat_congruence_holds", "make_record"),
 }
 
