@@ -126,13 +126,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-_TRIAL_LIMIT = 10**6
-# increments stepping through numbers coprime to 30, starting from 7
-_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
-
-
 def factorize(n: int) -> Factorization:
-    """Complete prime factorization of n >= 2, smallest prime first."""
+    """Complete prime factorization of n >= 2, smallest prime first.
+    No time bound: Brent rho takes about sqrt(p) steps, p the second-largest prime factor."""
     if n < 2:
         raise ValueError(f"cannot factor {n}; need n >= 2")
     return Factorization(_factor_pairs(n))
@@ -143,33 +139,20 @@ def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
     Valid by construction: package internals skip Factorization's checks."""
     m = n
     found: list[tuple[int, int]] = []
-
-    def strip(p: int) -> None:
-        nonlocal m
+    for p in _SMALL_PRIMES:
         e = 0
         while m % p == 0:
             m //= p
             e += 1
         if e:
             found.append((p, e))
-
-    for p in (2, 3, 5):
-        strip(p)
-    d, i = 7, 0
-    while d * d <= m and d < _TRIAL_LIMIT:
-        strip(d)
-        d += _WHEEL[i]
-        i = (i + 1) & 7
     if m > 1:
-        if d * d > m:
-            found.append((m, 1))  # cofactor below the square of the last trial
-        else:
-            found.extend(_factor_hard(m))  # sorted, all above the trial divisors
+        found.extend(_factor_hard(m))  # sorted, all above _SMALL_PRIMES
     return tuple(found)
 
 
 def _factor_hard(m: int) -> list[tuple[int, int]]:
-    """Factor m when every prime factor exceeds the trial-division bound."""
+    """Factor m > 1 with no prime in _SMALL_PRIMES: is_prime, then Brent rho."""
     counts: dict[int, int] = {}
     stack = [m]
     while stack:

@@ -45,6 +45,9 @@ DEFAULT_MODULUS_BIT_BUDGET = 1 << 22
 # Only n below this are memoised: such an n has at most 7 distinct primes, so
 # at most 128 Moebius divisors, and the 4096 entries hold under 7 MB.
 _MEMO_BOUND = 1 << 20
+# Largest k fixed_points lists: the list holds about 128 B per point, and the
+# CLI's rows about 320 B, so fixed-points peaks near 340 MB at the cap
+_FIXED_POINTS_CAP = 10**6
 
 
 class ResourceLimitError(RuntimeError):
@@ -138,10 +141,13 @@ class PeriodSpectrum:
 def fixed_points(k: int) -> list[tuple[int, int]]:
     """The k - 1 fixed-point angles as unreduced fractions (j, k - 1).
 
-    Fraction (j, d) stands for the angle j/d of a full turn.
+    Fraction (j, d) stands for the angle j/d of a full turn.  A k over the
+    cap is refused before any point is built.
     """
     if k < 2:
         raise ValueError(f"k must be > 1, got {k}")
+    if k > _FIXED_POINTS_CAP:
+        raise ResourceLimitError(f"k={k} is over the fixed-points cap of {_FIXED_POINTS_CAP}")
     return [(j, k - 1) for j in range(k - 1)]
 
 

@@ -29,9 +29,6 @@ from .claims import (
 from .pseudoprimes import _korselt, enumerate_pseudoprimes
 
 FORMATS = ("plain", "json", "csv")
-# Largest k fixed-points lists: its rows hold about 320 B per point, so the
-# cap peaks near 340 MB
-_FIXED_POINTS_CAP = 10**6
 
 
 def _int_at_least(minimum: int):
@@ -79,8 +76,6 @@ def _emit_rows(rows: list[dict], fields: tuple[str, ...], fmt: str, plain) -> No
 
 
 def _cmd_fixed_points(args) -> int:
-    if args.k > _FIXED_POINTS_CAP:
-        raise ResourceLimitError(f"k={args.k} is over the fixed-points cap of {_FIXED_POINTS_CAP}")
     rows = [
         {"numerator": j, "denominator": d} for j, d in fixed_points(args.k)
     ]

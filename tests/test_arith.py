@@ -1,3 +1,6 @@
+import random
+from math import prod
+
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from oracles import (
     naive_moebius,
     naive_totient,
     prime_sieve,
+    rho_factor,
     trial_division_is_prime,
     trial_factor,
 )
@@ -95,7 +99,7 @@ class TestFactorize:
         assert factorize(720).factors == ((2, 4), (3, 2), (5, 1))
 
     def test_large_semiprime_beyond_trial_range(self):
-        # both factors exceed the trial-division bound
+        # both factors are far above 97, so rho splits n
         f = factorize(1000003 * 1000033)
         assert f.factors == ((1000003, 1), (1000033, 1))
 
@@ -118,9 +122,22 @@ class TestFactorize:
                 assert 1 < f < n and n % f == 0, (n, f)
 
     def test_semiprime_whose_first_rho_backtracks(self):
-        # both primes exceed the trial-division bound, and c = 1 backtracks
+        # both primes are far above 97, and rho with c = 1 backtracks
         n = 1000003 * 1000159
         assert [p for p, e in factorize(n) for _ in range(e)] == trial_factor(n)
+
+    def test_rho_cofactors_agree_with_oracle(self):
+        # every cofactor left after dividing by the primes to 97 goes to
+        # is_prime and Brent rho; rho_factor shares no code with either
+        sieve = prime_sieve(10**4)
+        primes = [p for p in range(98, 10**4) if sieve[p]]
+        rng = random.Random(20)
+        cases = [p**e for p in primes if p < 3000 for e in (2, 3, 4)]
+        cases += [rng.choice(primes) * rng.choice(primes) for _ in range(500)]
+        cases += [prod(rng.choices(primes, k=3)) for _ in range(500)]
+        cases += [rng.randrange(10**12, 10**18) for _ in range(100)]
+        for n in cases:
+            assert [p for p, e in factorize(n) for _ in range(e)] == rho_factor(n), n
 
 
 class TestFactorizationType:

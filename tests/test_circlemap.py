@@ -13,6 +13,7 @@ from circleprimes.circlemap import (
     OrbitSummary,
     PeriodicLattice,
     ResourceLimitError,
+    _FIXED_POINTS_CAP,
     _moebius_divisors,
     count_exact_period,
     enumerate_orbits,
@@ -40,6 +41,25 @@ class TestFixedPoints:
         for k in (1, 0, -3):
             with pytest.raises(ValueError):
                 fixed_points(k)
+
+    def test_over_the_cap_refused_before_any_point(self):
+        # the list holds about 128 B per point, so an uncapped k exhausts
+        # memory; one over the cap allocates no point, so 10**30 cannot
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=f"cap of {_FIXED_POINTS_CAP}$"):
+                fixed_points(_FIXED_POINTS_CAP + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        with pytest.raises(ResourceLimitError, match=f"cap of {_FIXED_POINTS_CAP}$"):
+            fixed_points(10**30)
+
+    def test_at_the_cap_lists(self):
+        points = fixed_points(_FIXED_POINTS_CAP)
+        assert len(points) == _FIXED_POINTS_CAP - 1
+        assert points[-1] == (_FIXED_POINTS_CAP - 2, _FIXED_POINTS_CAP - 1)
 
 
 class TestMakeLattice:

@@ -12,6 +12,7 @@ import pytest
 
 import circleprimes.claims as claims
 import circleprimes.cli as cli
+from circleprimes.circlemap import _FIXED_POINTS_CAP
 from circleprimes.claims import (
     ClaimId,
     ClaimResult,
@@ -72,23 +73,20 @@ class TestFixedPointsCommand:
     def test_k1_usage_error(self, capsys):
         assert usage_error_code(capsys, "fixed-points", "--k", "1") == 2
 
-    @pytest.mark.parametrize("k", [cli._FIXED_POINTS_CAP + 1, 10**30])
-    def test_over_the_cap_refused_before_any_point(self, capsys, monkeypatch, k):
-        # the rows take about 320 B per point, so an uncapped k exhausts memory
-        def no_points(k):
-            raise AssertionError("fixed_points built the list")
-
-        monkeypatch.setattr(cli, "fixed_points", no_points)
+    @pytest.mark.parametrize("k", [_FIXED_POINTS_CAP + 1, 10**30])
+    def test_over_the_cap_refused_before_any_point(self, capsys, k):
+        # circlemap.fixed_points refuses k before it builds a point
         code, out, err = run_cli(capsys, "fixed-points", "--k", str(k))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert str(cli._FIXED_POINTS_CAP) in err
+        assert str(_FIXED_POINTS_CAP) in err
 
     def test_at_the_cap_lists(self, capsys, monkeypatch):
-        # the list itself is stubbed: the real one takes seconds at the cap
+        # the CLI adds no cap of its own; the list is stubbed, since its rows
+        # take seconds at the cap
         monkeypatch.setattr(cli, "fixed_points", lambda k: [(0, k - 1)])
-        code, out, _ = run_cli(capsys, "fixed-points", "--k", str(cli._FIXED_POINTS_CAP))
-        assert (code, out) == (0, f"0/{cli._FIXED_POINTS_CAP - 1} · 2π\n")
+        code, out, _ = run_cli(capsys, "fixed-points", "--k", str(_FIXED_POINTS_CAP))
+        assert (code, out) == (0, f"0/{_FIXED_POINTS_CAP - 1} · 2π\n")
 
     def test_json_csv_numeric_equality(self, capsys):
         _, json_out, _ = run_cli(capsys, "fixed-points", "--k", "5", "--format", "json")
