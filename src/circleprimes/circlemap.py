@@ -23,7 +23,6 @@ __all__ = [
     "InvariantViolation",
     "LatticePoint",
     "OrbitSummary",
-    "PeriodSpectrum",
     "PeriodicLattice",
     "ResourceLimitError",
     "count_exact_period",
@@ -45,8 +44,8 @@ DEFAULT_MODULUS_BIT_BUDGET = 1 << 22
 # Only n below this are memoised: such an n has at most 7 distinct primes, so
 # at most 128 Moebius divisors, and the 4096 entries hold under 7 MB.
 _MEMO_BOUND = 1 << 20
-# Largest k fixed_points lists: the list holds about 128 B per point, and the
-# CLI's rows about 320 B, so fixed-points peaks near 340 MB at the cap
+# Largest k fixed_points lists: the list holds about 128 B per point and the
+# CLI writes one row at a time, so fixed-points peaks near 150 MB at the cap
 _FIXED_POINTS_CAP = 10**6
 
 
@@ -123,19 +122,6 @@ class OrbitSummary:
         k, m = self.lattice.k, self.lattice.modulus
         walk = accumulate(range(1, self.period), lambda j, _: j * k % m, initial=self.representative)
         return tuple(walk)
-
-
-@dataclass
-class PeriodSpectrum:
-    """Per-divisor exact-period census of a period-n lattice.
-
-    entries maps each divisor d of n to (points of exact period d,
-    number of period-d orbits).
-    """
-
-    k: int
-    n: int
-    entries: dict[int, tuple[int, int]]
 
 
 def fixed_points(k: int) -> list[tuple[int, int]]:
@@ -268,8 +254,8 @@ def pi_mod(k: int, n: int, m: int) -> int:
     return _pi_sum(k, n, m) % m
 
 
-def period_spectrum(k: int, n: int) -> PeriodSpectrum:
-    """Point and orbit counts for every exact period d dividing n: the
+def period_spectrum(k: int, n: int) -> dict[int, tuple[int, int]]:
+    """{d: (points, orbits)} for every exact period d dividing n: the
     orbit_count of each d, so each count passes its Gauss congruence."""
     _guard_modulus_bits(k, n)
     entries: dict[int, tuple[int, int]] = {}
@@ -283,4 +269,4 @@ def period_spectrum(k: int, n: int) -> PeriodSpectrum:
         )  # pragma: no cover
     if entries[1][0] != k - 1:
         raise InvariantViolation("fixed-point count != k - 1")  # pragma: no cover
-    return PeriodSpectrum(k, n, entries)
+    return entries

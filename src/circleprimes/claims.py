@@ -43,7 +43,6 @@ from .pseudoprimes import enumerate_pseudoprimes, is_pseudoprime
 
 __all__ = [
     "ALL_CLAIMS",
-    "CLAIM_DESCRIPTIONS",
     "ClaimId",
     "ClaimResult",
     "SuiteReport",
@@ -87,21 +86,6 @@ class ClaimId(Enum):
 
 
 ALL_CLAIMS: tuple[ClaimId, ...] = tuple(ClaimId)
-
-CLAIM_DESCRIPTIONS: dict[ClaimId, str] = {
-    ClaimId.T1: "n divides k**n - k - pi_n for every base-k pseudoprime n",
-    ClaimId.T2: "n1*n2 is a base-k pseudoprime iff n1 | k**n2 - k and n2 | k**n1 - k",
-    ClaimId.R24_27: "two-prime pseudoprime: n | k**ni - k, and n, n1, n2 all divide k**|n1-n2| - 1",
-    ClaimId.GA28_32: "prime-power telescope: n1 | k**(n1**r) - k, n1 | k**|n1**r - n2| - 1, n2 | k**|n2**r - n1| - 1",
-    ClaimId.GB33_35: "n divides k**(r*(ni - 1)) - 1 for i = 1, 2 and every r >= 1",
-    ClaimId.EC36_38: "n divides k**(n1 + n2 - 2) - 1, and k**phi(n) - 1 with phi(n) = n1*n2 - n1 - n2 + 1",
-    ClaimId.GC39_42: "n divides k**(r*n1 + s*n2 - (r + s)) - 1 whenever the exponent is positive",
-    ClaimId.GE43: "n divides k**(r*n1**q + s*n2**p - (r + s)) - 1 whenever the exponent is positive",
-    ClaimId.TP44_47: "three-prime pseudoprime: n and each ni divide the six-term power sum",
-    ClaimId.TP48_58: "each ni divides k**|nj*nl - ni| - 1 for the three rotations",
-    ClaimId.TP59_61: "each ni divides k**(j*|nj*nl - ni**m|) - 1 for all m, j >= 1",
-}
-
 
 @dataclass(frozen=True)
 class ClaimResult:
@@ -440,7 +424,6 @@ class SweepConfig:
 class SuiteReport:
     """Aggregate of one sweep: per-claim verdict tallies plus all failures."""
 
-    config: SweepConfig
     total: int
     tallies: dict[ClaimId, dict[Verdict, int]]
     failures: tuple[ClaimResult, ...]
@@ -538,4 +521,4 @@ def run_suite(config: SweepConfig, threads: int = 1) -> SuiteReport:
             failures.append(_result(claim, names, args, outcome))
     tallies = {claim: dict(zip(Verdict, c)) for claim, c in counts.items()}
     total = sum(map(sum, counts.values()))
-    return SuiteReport(config=config, total=total, tallies=tallies, failures=tuple(failures))
+    return SuiteReport(total=total, tallies=tallies, failures=tuple(failures))

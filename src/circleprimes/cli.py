@@ -15,6 +15,7 @@ import csv
 import json
 import os
 import sys
+from typing import Iterable
 
 from .arith import factorize
 from .circlemap import ResourceLimitError, fixed_points, period_spectrum
@@ -60,7 +61,7 @@ def _claim_list(text: str) -> tuple[ClaimId, ...]:
     return tuple(ids)
 
 
-def _emit_rows(rows: list[dict], fields: tuple[str, ...], fmt: str, plain) -> None:
+def _emit_rows(rows: Iterable[dict], fields: tuple[str, ...], fmt: str, plain) -> None:
     """One line per row: plain(row), a json object, or csv under a header
     that is written even when there are no rows."""
     if fmt == "plain":
@@ -76,9 +77,10 @@ def _emit_rows(rows: list[dict], fields: tuple[str, ...], fmt: str, plain) -> No
 
 
 def _cmd_fixed_points(args) -> int:
-    rows = [
+    # one dict at a time: a list of k - 1 rows would hold about 190 B per point
+    rows = (
         {"numerator": j, "denominator": d} for j, d in fixed_points(args.k)
-    ]
+    )
     _emit_rows(rows, ("numerator", "denominator"), args.format,
                "{numerator}/{denominator} · 2π".format_map)
     return 0
@@ -88,7 +90,7 @@ def _cmd_spectrum(args) -> int:
     spectrum = period_spectrum(args.k, args.n)
     rows = [
         {"period": d, "points": points, "orbits": orbits}
-        for d, (points, orbits) in sorted(spectrum.entries.items())
+        for d, (points, orbits) in sorted(spectrum.items())
     ]
     total = sum(row["points"] for row in rows)
     # str() of an int over the interpreter's digit limit raises mid-table, so

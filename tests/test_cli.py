@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -6,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -87,6 +89,19 @@ class TestFixedPointsCommand:
         monkeypatch.setattr(cli, "fixed_points", lambda k: [(0, k - 1)])
         code, out, _ = run_cli(capsys, "fixed-points", "--k", str(_FIXED_POINTS_CAP))
         assert (code, out) == (0, f"0/{_FIXED_POINTS_CAP - 1} · 2π\n")
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_rows_are_not_held(self, fmt):
+        # the points' list alone is about 12.8 MB at k = 10**5; a list of
+        # row dicts on top of it would add about 19 MB more
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(["fixed-points", "--k", "100000", "--format", fmt]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 20e6, peak
 
     def test_json_csv_numeric_equality(self, capsys):
         _, json_out, _ = run_cli(capsys, "fixed-points", "--k", "5", "--format", "json")
@@ -385,9 +400,8 @@ class TestVerifyCommand:
             ClaimId.GB33_35, (("k", 2), ("n1", 11), ("n2", 31), ("r", 1)),
             Verdict.FAILS, witness="2**10 - 1 = 5 (mod 341)",
         )
-        config = SweepConfig(bases=(2,), max_n=400)
         report = SuiteReport(
-            config=config, total=1,
+            total=1,
             tallies={ClaimId.GB33_35: {v: int(v is Verdict.FAILS) for v in Verdict}},
             failures=(failing,),
         )
