@@ -3,20 +3,19 @@
 Everything here is deterministic, and exact with one stated exception:
 at or above psi_13 (about 3.3e24) ``is_prime`` is a strong probable prime
 test to 13 bases, and ``factorize`` trusts it for its cofactors.  Python
-integers are arbitrary precision, so no value ever overflows; the only
-size limits in this package are the explicit caps in
-:mod:`circleprimes.circlemap`.
+integers are arbitrary precision, so no value ever overflows; the size
+limits in this package are the explicit caps in :mod:`circleprimes.circlemap`
+and the CLI's refusal to print an integer over
+``sys.get_int_max_str_digits()`` digits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
 from typing import Iterator
 
 __all__ = [
-    "Factorization",
     "divisors",
     "factorize",
     "is_prime",
@@ -24,39 +23,6 @@ __all__ = [
     "primes_up_to",
     "totient",
 ]
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as ordered (prime, exponent) pairs."""
-
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        primes = [p for p, _ in self.factors]
-        if primes != sorted(primes) or len(set(primes)) != len(primes):
-            raise ValueError(f"primes must be strictly increasing, got {primes}")
-        if any(e < 1 for _, e in self.factors):
-            raise ValueError("exponents must be positive")
-
-    @property
-    def n(self) -> int:
-        """The factored integer."""
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-    @property
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.factors)
-
-    def __iter__(self):
-        return iter(self.factors)
 
 
 _SMALL_PRIMES = (
@@ -126,17 +92,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int) -> Factorization:
-    """Complete prime factorization of n >= 2, smallest prime first.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Complete prime factorization of n >= 2: (prime, exponent) pairs, smallest prime first.
     No time bound: Brent rho takes about sqrt(p) steps, p the second-largest prime factor."""
     if n < 2:
         raise ValueError(f"cannot factor {n}; need n >= 2")
-    return Factorization(_factor_pairs(n))
+    return _factor_pairs(n)
 
 
 def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """(prime, exponent) pairs of n >= 1, smallest prime first; () for 1.
-    Valid by construction: package internals skip Factorization's checks."""
+    The primes are distinct and each exponent is at least 1."""
     m = n
     found: list[tuple[int, int]] = []
     for p in _SMALL_PRIMES:

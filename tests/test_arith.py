@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import prod
 
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from circleprimes import arith
 from circleprimes.arith import (
-    Factorization,
     divisors,
     factorize,
     is_prime,
@@ -76,9 +76,9 @@ class TestIsPrime:
 
 class TestFactorize:
     def test_examples(self):
-        assert factorize(561).factors == ((3, 1), (11, 1), (17, 1))
-        assert factorize(341).factors == ((11, 1), (31, 1))
-        assert factorize(8).factors == ((2, 3),)
+        assert factorize(561) == ((3, 1), (11, 1), (17, 1))
+        assert factorize(341) == ((11, 1), (31, 1))
+        assert factorize(8) == ((2, 3),)
 
     def test_rejects_small(self):
         for n in (1, 0, -5):
@@ -86,31 +86,25 @@ class TestFactorize:
                 factorize(n)
 
     def test_reconstructs_and_factors_prime(self):
-        sieve = prime_sieve(10**5)
+        # a flattened prime list would not tell ((3, 1), (3, 1)) from ((3, 2),)
         for n in range(2, 10**5 + 1):
             f = factorize(n)
-            product = 1
-            for p, e in f:
-                assert sieve[p], (n, p)
-                product *= p**e
-            assert product == n
+            assert type(f) is tuple
+            assert f == tuple(Counter(trial_factor(n)).items()), n
 
     def test_mixed_exponents(self):
-        assert factorize(720).factors == ((2, 4), (3, 2), (5, 1))
+        assert factorize(720) == ((2, 4), (3, 2), (5, 1))
 
     def test_large_semiprime_beyond_trial_range(self):
         # both factors are far above 97, so rho splits n
-        f = factorize(1000003 * 1000033)
-        assert f.factors == ((1000003, 1), (1000033, 1))
+        assert factorize(1000003 * 1000033) == ((1000003, 1), (1000033, 1))
 
     def test_large_prime_power(self):
-        f = factorize(1000003**2)
-        assert f.factors == ((1000003, 2),)
+        assert factorize(1000003**2) == ((1000003, 2),)
 
     def test_psi_12(self):
         # a strong pseudoprime to bases 2..37 split into two 12-digit primes
-        f = factorize(318665857834031151167461)
-        assert f.factors == ((399165290221, 1), (798330580441, 1))
+        assert factorize(318665857834031151167461) == ((399165290221, 1), (798330580441, 1))
 
     def test_brent_rho_splits_every_small_odd_composite(self):
         # 480 of these n need the backtrack from the last block's ys: at
@@ -124,7 +118,7 @@ class TestFactorize:
     def test_semiprime_whose_first_rho_backtracks(self):
         # both primes are far above 97, and rho with c = 1 backtracks
         n = 1000003 * 1000159
-        assert [p for p, e in factorize(n) for _ in range(e)] == trial_factor(n)
+        assert factorize(n) == tuple(Counter(trial_factor(n)).items())
 
     def test_rho_cofactors_agree_with_oracle(self):
         # every cofactor left after dividing by the primes to 97 goes to
@@ -137,24 +131,7 @@ class TestFactorize:
         cases += [prod(rng.choices(primes, k=3)) for _ in range(500)]
         cases += [rng.randrange(10**12, 10**18) for _ in range(100)]
         for n in cases:
-            assert [p for p, e in factorize(n) for _ in range(e)] == rho_factor(n), n
-
-
-class TestFactorizationType:
-    def test_properties(self):
-        f = Factorization(((3, 1), (11, 1), (17, 1)))
-        assert f.n == 561
-        assert f.primes == (3, 11, 17)
-        assert f.is_squarefree
-        assert not Factorization(((2, 3),)).is_squarefree
-
-    def test_rejects_unsorted_or_repeated(self):
-        with pytest.raises(ValueError):
-            Factorization(((11, 1), (3, 1)))
-        with pytest.raises(ValueError):
-            Factorization(((3, 1), (3, 2)))
-        with pytest.raises(ValueError):
-            Factorization(((3, 0),))
+            assert factorize(n) == tuple(Counter(rho_factor(n)).items()), n
 
 
 class TestDivisors:

@@ -29,13 +29,13 @@ from oracles import brute_divisors, naive_exact_period, naive_moebius, naive_orb
 
 class TestFixedPoints:
     def test_examples(self):
-        assert fixed_points(2) == [(0, 1)]
-        assert fixed_points(3) == [(0, 2), (1, 2)]
-        assert fixed_points(5) == [(0, 4), (1, 4), (2, 4), (3, 4)]
+        assert list(fixed_points(2)) == [(0, 1)]
+        assert list(fixed_points(3)) == [(0, 2), (1, 2)]
+        assert list(fixed_points(5)) == [(0, 4), (1, 4), (2, 4), (3, 4)]
 
     def test_count_is_k_minus_one(self):
         for k in range(2, 51):
-            assert len(fixed_points(k)) == k - 1
+            assert len(list(fixed_points(k))) == k - 1
 
     def test_rejects_k_below_two(self):
         for k in (1, 0, -3):
@@ -43,8 +43,8 @@ class TestFixedPoints:
                 fixed_points(k)
 
     def test_over_the_cap_refused_before_any_point(self):
-        # the list holds about 128 B per point, so an uncapped k exhausts
-        # memory; one over the cap allocates no point, so 10**30 cannot
+        # the cap bounds time, not memory: the points are yielded one at a
+        # time, yet the refusal comes at the call, before any point exists
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match=f"cap of {_FIXED_POINTS_CAP}$"):
@@ -57,7 +57,15 @@ class TestFixedPoints:
             fixed_points(10**30)
 
     def test_at_the_cap_lists(self):
-        points = fixed_points(_FIXED_POINTS_CAP)
+        # the call builds no point: a list of them would take about 128 MB
+        tracemalloc.start()
+        try:
+            points = fixed_points(_FIXED_POINTS_CAP)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        points = list(points)
         assert len(points) == _FIXED_POINTS_CAP - 1
         assert points[-1] == (_FIXED_POINTS_CAP - 2, _FIXED_POINTS_CAP - 1)
 

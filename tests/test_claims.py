@@ -174,7 +174,7 @@ class TestT2:
         limit = 3000
         semiprime_pseudoprimes = [
             n for n in enumerate_pseudoprimes(2, limit)
-            if len(factorize(n).factors) == 2 and factorize(n).is_squarefree
+            if tuple(e for _, e in factorize(n)) == (1, 1)
         ]
         both_true = []
         primes = [p for p in primes_up_to(limit // 3) if p > 2]

@@ -84,16 +84,16 @@ class TestFixedPointsCommand:
         assert str(_FIXED_POINTS_CAP) in err
 
     def test_at_the_cap_lists(self, capsys, monkeypatch):
-        # the CLI adds no cap of its own; the list is stubbed, since its rows
-        # take seconds at the cap
+        # the CLI adds no cap of its own; the points are stubbed, since their
+        # rows take seconds at the cap
         monkeypatch.setattr(cli, "fixed_points", lambda k: [(0, k - 1)])
         code, out, _ = run_cli(capsys, "fixed-points", "--k", str(_FIXED_POINTS_CAP))
         assert (code, out) == (0, f"0/{_FIXED_POINTS_CAP - 1} · 2π\n")
 
     @pytest.mark.parametrize("fmt", cli.FORMATS)
     def test_rows_are_not_held(self, fmt):
-        # the points' list alone is about 12.8 MB at k = 10**5; a list of
-        # row dicts on top of it would add about 19 MB more
+        # neither points nor rows are held: a list of the points alone is
+        # about 12.8 MB at k = 10**5, and one of row dicts about 19 MB more
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             tracemalloc.start()
             try:
@@ -101,7 +101,7 @@ class TestFixedPointsCommand:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert peak < 20e6, peak
+        assert peak < 2e6, peak
 
     def test_json_csv_numeric_equality(self, capsys):
         _, json_out, _ = run_cli(capsys, "fixed-points", "--k", "5", "--format", "json")

@@ -15,7 +15,7 @@ MODULES = (arith, circlemap, claims, pseudoprimes)
 
 # removed public names, by the module that defined them
 REMOVED = {
-    arith: ("gcd", "mod_pow", "odd_composite_segments"),
+    arith: ("gcd", "mod_pow", "odd_composite_segments", "Factorization"),
     circlemap: ("step", "enumeration_cap", "ENUM_CAP_ENV", "PeriodSpectrum"),
     claims: ("t2_sides", "CLAIM_DESCRIPTIONS"),
     pseudoprimes: ("PseudoprimeRecord", "fermat_congruence_holds", "make_record"),
