@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, repeat
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .arith import _factor_pairs, divisors
 
@@ -21,7 +21,6 @@ __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "DEFAULT_MODULUS_BIT_BUDGET",
     "InvariantViolation",
-    "LatticePoint",
     "OrbitSummary",
     "PeriodicLattice",
     "ResourceLimitError",
@@ -87,38 +86,21 @@ class PeriodicLattice:
         object.__setattr__(self, "modulus", self.k**self.n - 1)
 
 
-@dataclass(frozen=True)
-class LatticePoint:
-    """One lattice site of a periodic lattice."""
-
-    index: int
-    lattice: PeriodicLattice
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.index < self.lattice.modulus:
-            raise ValueError(
-                f"index {self.index} outside [0, {self.lattice.modulus})"
-            )
-
-
-@dataclass(frozen=True, slots=True)
-class OrbitSummary:
+class OrbitSummary(NamedTuple):
     """One cycle of the map: its smallest member and its exact period.
-    members is walked from the representative on each access, not stored."""
+
+    A plain named tuple, so nothing checks one built by hand;
+    exact_period(lattice, representative) gives the true period.
+    """
 
     representative: int
     period: int
     lattice: PeriodicLattice
 
-    def __post_init__(self) -> None:
-        if exact_period(LatticePoint(self.representative, self.lattice)) != self.period:
-            raise ValueError(f"{self.representative} does not have period {self.period}")
-        if self.representative != min(self.members):
-            raise ValueError("representative must be the smallest member")
-
     @property
     def members(self) -> tuple[int, ...]:
-        """The cycle in iteration order, starting at the representative."""
+        """The cycle in iteration order, walked from the representative on
+        each access and not stored; it trusts the summary it is given."""
         k, m = self.lattice.k, self.lattice.modulus
         walk = accumulate(range(1, self.period), lambda j, _: j * k % m, initial=self.representative)
         return tuple(walk)
@@ -143,15 +125,17 @@ def make_lattice(k: int, n: int) -> PeriodicLattice:
     return PeriodicLattice(k, n)
 
 
-def exact_period(point: LatticePoint) -> int:
-    """Least d >= 1 after which the point returns to itself.
+def exact_period(lattice: PeriodicLattice, j: int) -> int:
+    """Least d >= 1 after which lattice index j returns to itself; an index
+    outside [0, modulus) raises ValueError.
 
     d steps return j iff (k**d - 1)*j == 0 mod (k**n - 1), and the d that
     do are the multiples of the least, which divides n.  So starting from
     n, each prime of n is divided out while the rest still returns j.
     """
-    lat, j = point.lattice, point.index
-    k, m, d = lat.k, lat.modulus, lat.n
+    k, m, d = lattice.k, lattice.modulus, lattice.n
+    if not 0 <= j < m:
+        raise ValueError(f"index {j} outside [0, {m})")
     for p, _ in _factor_pairs(d):
         while d % p == 0 and (pow(k, d // p, m) - 1) * j % m == 0:
             d //= p
@@ -174,18 +158,10 @@ def enumerate_orbits(lattice: PeriodicLattice) -> Iterator[OrbitSummary]:
             f"lattice has {m} points, over the enumeration cap of {DEFAULT_ENUMERATION_CAP}"
         )
     wrap = [k**i - 1 for i in range(n + 1)]  # i digits k - 1
-    # trusted cycles: setting the slots skips the walk in __post_init__
-    set_rep = OrbitSummary.representative.__set__
-    set_period = OrbitSummary.period.__set__
-    set_lattice = OrbitSummary.lattice.__set__
     word, i = 0, 1  # a prenecklace and the length of its Lyndon prefix
     while True:
         if n % i == 0:
-            orbit = object.__new__(OrbitSummary)
-            set_rep(orbit, word)
-            set_period(orbit, i)
-            set_lattice(orbit, lattice)
-            yield orbit
+            yield OrbitSummary(word, i, lattice)
         # successor: word + 1 carries through the trailing digits k - 1 to the
         # incremented prefix x, then x repeats: the base-k fraction x/(k**i - 1)
         x, i = word + 1, n

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from circleprimes.arith import divisors
 from circleprimes.circlemap import (
     InvariantViolation,
-    LatticePoint,
     OrbitSummary,
     PeriodicLattice,
     ResourceLimitError,
@@ -57,7 +56,8 @@ class TestFixedPoints:
             fixed_points(10**30)
 
     def test_at_the_cap_lists(self):
-        # the call builds no point: a list of them would take about 128 MB
+        # the call builds no point, and the points are counted as they come:
+        # a list of them would take about 128 MB
         tracemalloc.start()
         try:
             points = fixed_points(_FIXED_POINTS_CAP)
@@ -65,9 +65,10 @@ class TestFixedPoints:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
-        points = list(points)
-        assert len(points) == _FIXED_POINTS_CAP - 1
-        assert points[-1] == (_FIXED_POINTS_CAP - 2, _FIXED_POINTS_CAP - 1)
+        for count, last in enumerate(points, 1):
+            pass
+        assert count == _FIXED_POINTS_CAP - 1
+        assert last == (_FIXED_POINTS_CAP - 2, _FIXED_POINTS_CAP - 1)
 
 
 class TestMakeLattice:
@@ -101,12 +102,12 @@ class TestMakeLattice:
 
     def test_point_bounds(self):
         lat = make_lattice(2, 4)
-        LatticePoint(0, lat)
-        LatticePoint(14, lat)
-        with pytest.raises(ValueError):
-            LatticePoint(15, lat)
-        with pytest.raises(ValueError):
-            LatticePoint(-1, lat)
+        assert exact_period(lat, 0) == 1
+        assert exact_period(lat, 14) == 4
+        with pytest.raises(ValueError, match=r"index 15 outside \[0, 15\)"):
+            exact_period(lat, 15)
+        with pytest.raises(ValueError, match=r"index -1 outside \[0, 15\)"):
+            exact_period(lat, -1)
 
 
 class TestStep:
@@ -114,7 +115,7 @@ class TestStep:
 
     def test_examples(self):
         lat = make_lattice(2, 4)
-        assert OrbitSummary(3, 4, lat).members[:2] == (3, 6)
+        assert OrbitSummary(3, 4, lat).members == (3, 6, 12, 9)
         assert OrbitSummary(0, 1, lat).members == (0,)
         lat32 = make_lattice(3, 2)
         assert OrbitSummary(4, 1, lat32).members == (4,)  # the theta = half-turn fixed point
@@ -128,21 +129,21 @@ class TestStep:
 class TestExactPeriod:
     def test_examples(self):
         lat = make_lattice(2, 4)
-        assert exact_period(LatticePoint(3, lat)) == 4
-        assert exact_period(LatticePoint(5, lat)) == 2
-        assert exact_period(LatticePoint(0, lat)) == 1
+        assert exact_period(lat, 3) == 4
+        assert exact_period(lat, 5) == 2
+        assert exact_period(lat, 0) == 1
 
     @pytest.mark.parametrize("k,n", [(2, 4), (2, 6), (3, 2), (3, 4), (5, 2), (2, 12), (7, 3)])
     def test_agrees_with_map_iteration(self, k, n):
         lat = make_lattice(k, n)
         for j in range(lat.modulus):
-            assert exact_period(LatticePoint(j, lat)) == naive_exact_period(k, n, j)
+            assert exact_period(lat, j) == naive_exact_period(k, n, j)
 
     def test_divides_n(self):
         for k, n in [(2, 12), (3, 8), (6, 4)]:
             lat = make_lattice(k, n)
             for j in range(lat.modulus):
-                assert n % exact_period(LatticePoint(j, lat)) == 0
+                assert n % exact_period(lat, j) == 0
 
 
 class TestEnumerateOrbits:
@@ -166,9 +167,11 @@ class TestEnumerateOrbits:
         lattices = [(k, n) for k in range(2, 33) for n in range(1, 16) if k**n <= 2**15]
         assert len(lattices) == 129
         for k, n in lattices:
-            got = [(o.representative, o.period, o.members) for o in enumerate_orbits(make_lattice(k, n))]
-            want = [(c[0], len(c), tuple(c)) for c in naive_orbit_partition(k, n)]
-            assert got == want, (k, n)
+            lat = make_lattice(k, n)
+            orbits = list(enumerate_orbits(lat))
+            cycles = naive_orbit_partition(k, n)
+            assert orbits == [OrbitSummary(c[0], len(c), lat) for c in cycles], (k, n)
+            assert [o.members for o in orbits] == [tuple(c) for c in cycles], (k, n)
 
     def test_orbit_well_formedness(self):
         for k, n in [(2, 6), (3, 4), (4, 3), (10, 2)]:
@@ -185,7 +188,7 @@ class TestEnumerateOrbits:
                     assert a * lat.k % lat.modulus == b
                 assert orbit.members[-1] * lat.k % lat.modulus == orbit.members[0]
                 for member in orbit.members:
-                    assert exact_period(LatticePoint(member, lat)) == orbit.period
+                    assert exact_period(lat, member) == orbit.period
                 seen.update(orbit.members)
             assert seen == set(range(lat.modulus))
 
@@ -215,14 +218,6 @@ class TestEnumerateOrbits:
         with pytest.raises(ResourceLimitError) as err:
             next(orbits)
         assert "67108864" in str(err.value) and "134217727" in str(err.value)
-
-    def test_summary_validation(self):
-        lat = make_lattice(2, 4)  # 3 -> 6 -> 12 -> 9 -> 3
-        with pytest.raises(ValueError):
-            OrbitSummary(3, 2, lat)  # wrong period
-        with pytest.raises(ValueError):
-            OrbitSummary(6, 4, lat)  # 3 is the smallest member
-        assert OrbitSummary(3, 4, lat).members == (3, 6, 12, 9)
 
 
 class TestCountExactPeriod:
@@ -319,7 +314,7 @@ class TestMoebiusPath:
         d = data.draw(st.sampled_from(brute_divisors(n)))
         lat = make_lattice(k, n)
         j = data.draw(st.integers(min_value=0, max_value=k**d - 2)) * (lat.modulus // (k**d - 1))
-        assert exact_period(LatticePoint(j, lat)) == naive_exact_period(k, n, j)
+        assert exact_period(lat, j) == naive_exact_period(k, n, j)
 
 
 class TestMoebiusMemo:

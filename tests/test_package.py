@@ -16,7 +16,7 @@ MODULES = (arith, circlemap, claims, pseudoprimes)
 # removed public names, by the module that defined them
 REMOVED = {
     arith: ("gcd", "mod_pow", "odd_composite_segments", "Factorization"),
-    circlemap: ("step", "enumeration_cap", "ENUM_CAP_ENV", "PeriodSpectrum"),
+    circlemap: ("step", "enumeration_cap", "ENUM_CAP_ENV", "PeriodSpectrum", "LatticePoint"),
     claims: ("t2_sides", "CLAIM_DESCRIPTIONS"),
     pseudoprimes: ("PseudoprimeRecord", "fermat_congruence_holds", "make_record"),
 }
@@ -29,6 +29,7 @@ REMOVED_KEYWORDS = (
     (circlemap.orbit_count, "max_bits"),
     (circlemap.period_spectrum, "max_bits"),
     (circlemap.enumerate_orbits, "cap"),
+    (circlemap.exact_period, "point"),
     (claims.SuiteReport, "config"),
 )
 
