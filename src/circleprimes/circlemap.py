@@ -18,8 +18,6 @@ from typing import Iterator, NamedTuple
 from .arith import _factor_pairs, divisors
 
 __all__ = [
-    "DEFAULT_ENUMERATION_CAP",
-    "DEFAULT_MODULUS_BIT_BUDGET",
     "InvariantViolation",
     "OrbitSummary",
     "PeriodicLattice",
@@ -36,10 +34,10 @@ __all__ = [
 
 # Most points enumerate_orbits walks; it bounds the k**i - 1 table and the
 # integers each necklace step handles.
-DEFAULT_ENUMERATION_CAP = 1 << 26
+_ENUMERATION_CAP = 1 << 26
 # Bit budget for materializing k**n - 1 exactly; counting beyond this must
 # go through pi_mod, which never forms big integers.
-DEFAULT_MODULUS_BIT_BUDGET = 1 << 22
+_MODULUS_BIT_BUDGET = 1 << 22
 # Only n below this are memoised: such an n has at most 7 distinct primes, so
 # at most 128 Moebius divisors, and the 4096 entries hold under 7 MB.
 _MEMO_BOUND = 1 << 20
@@ -63,10 +61,10 @@ def _guard_modulus_bits(k: int, n: int) -> None:
         raise ValueError(f"k must be > 1, got {k}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n * math.log2(k) > DEFAULT_MODULUS_BIT_BUDGET:
+    if n * math.log2(k) > _MODULUS_BIT_BUDGET:
         raise ResourceLimitError(
             f"k**n - 1 for k={k}, n={n} needs about {int(n * math.log2(k))} bits,"
-            f" over the {DEFAULT_MODULUS_BIT_BUDGET}-bit budget"
+            f" over the {_MODULUS_BIT_BUDGET}-bit budget"
         )
 
 
@@ -153,9 +151,9 @@ def enumerate_orbits(lattice: PeriodicLattice) -> Iterator[OrbitSummary]:
     visiting no other point, up to the all-(k - 1) word m, which is 0.
     """
     m, k, n = lattice.modulus, lattice.k, lattice.n
-    if m > DEFAULT_ENUMERATION_CAP:
+    if m > _ENUMERATION_CAP:
         raise ResourceLimitError(
-            f"lattice has {m} points, over the enumeration cap of {DEFAULT_ENUMERATION_CAP}"
+            f"lattice has {m} points, over the enumeration cap of {_ENUMERATION_CAP}"
         )
     wrap = [k**i - 1 for i in range(n + 1)]  # i digits k - 1
     word, i = 0, 1  # a prenecklace and the length of its Lyndon prefix

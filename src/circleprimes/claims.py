@@ -26,6 +26,7 @@ trusts its own construction (pseudoprimes from enumerate_pseudoprimes,
 factors from factorize, semiprimes from sieved primes), so its one loop
 calls the kernels directly.  iter_suite makes a ClaimResult of each
 outcome, run_suite only of a failure, and verify --records of none.
+ClaimResult and SuiteReport are named tuples; nothing checks a hand-built one.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .circlemap import pi_mod
 from .pseudoprimes import enumerate_pseudoprimes, is_pseudoprime
 
 __all__ = [
-    "ALL_CLAIMS",
     "ClaimId",
     "ClaimResult",
     "SuiteReport",
@@ -85,20 +85,13 @@ class ClaimId(Enum):
     TP59_61 = "TP59_61"
 
 
-ALL_CLAIMS: tuple[ClaimId, ...] = tuple(ClaimId)
-
-@dataclass(frozen=True)
-class ClaimResult:
-    """Outcome of one identity check on one parameter tuple."""
+class ClaimResult(NamedTuple):
+    """Outcome of one identity check on one tuple; nothing checks a hand-built one."""
 
     claim: ClaimId
     params: tuple[tuple[str, int], ...]
     verdict: Verdict
     witness: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.verdict is Verdict.FAILS and not self.witness:
-            raise ValueError("a failing result must carry a witness")
 
     def as_record(self) -> dict[str, str]:
         """Flat serialization: claim_id, params as key=value, verdict, witness."""
@@ -397,7 +390,7 @@ class SweepConfig:
     rs_min: int = -3
     rs_max: int = 3
     qpmj_max: int = 3
-    claims: tuple[ClaimId, ...] = ALL_CLAIMS
+    claims: tuple[ClaimId, ...] = tuple(ClaimId)
 
     def __post_init__(self) -> None:
         if not self.bases:
@@ -410,23 +403,26 @@ class SweepConfig:
             raise ValueError("rs_min must not exceed rs_max")
         if self.qpmj_max < 1:
             raise ValueError(f"qpmj_max must be >= 1, got {self.qpmj_max}")
-        unknown = set(self.claims) - set(ALL_CLAIMS)
+        unknown = set(self.claims) - set(ClaimId)
         if unknown:
             raise ValueError(f"unknown claims: {unknown}")
         object.__setattr__(self, "bases", tuple(sorted(set(self.bases))))
         wanted = set(self.claims)
         object.__setattr__(
-            self, "claims", tuple(c for c in ALL_CLAIMS if c in wanted)
+            self, "claims", tuple(c for c in ClaimId if c in wanted)
         )
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    """Aggregate of one sweep: per-claim verdict tallies plus all failures."""
+class SuiteReport(NamedTuple):
+    """Aggregate of one sweep: per-claim verdict tallies plus all failures.
+    Nothing checks a hand-built one against its tallies."""
 
-    total: int
     tallies: dict[ClaimId, dict[Verdict, int]]
     failures: tuple[ClaimResult, ...]
+
+    @property
+    def total(self) -> int:
+        return sum(sum(counts.values()) for counts in self.tallies.values())
 
     @property
     def failure_count(self) -> int:
@@ -521,5 +517,4 @@ def run_suite(config: SweepConfig, threads: int = 1) -> SuiteReport:
             tally[1] += 1
             failures.append(_result(claim, names, args, outcome))
     tallies = {claim: dict(zip(Verdict, c)) for claim, c in counts.items()}
-    total = sum(map(sum, counts.values()))
-    return SuiteReport(total=total, tallies=tallies, failures=tuple(failures))
+    return SuiteReport(tallies, tuple(failures))

@@ -20,7 +20,6 @@ from typing import Iterable
 from .arith import factorize
 from .circlemap import ResourceLimitError, fixed_points, period_spectrum
 from .claims import (
-    ALL_CLAIMS,
     ClaimId,
     SweepConfig,
     Verdict,
@@ -51,7 +50,7 @@ def _any_int(text: str) -> int:
 
 def _claim_list(text: str) -> tuple[ClaimId, ...]:
     ids = []
-    by_value = {c.value: c for c in ALL_CLAIMS}
+    by_value = {c.value: c for c in ClaimId}
     for token in text.split(","):
         token = token.strip()
         if token not in by_value:

@@ -18,7 +18,6 @@ import circleprimes.claims as claims
 from circleprimes.arith import factorize, primes_up_to
 from circleprimes.circlemap import pi_mod
 from circleprimes.claims import (
-    ALL_CLAIMS,
     ClaimId,
     ClaimResult,
     SweepConfig,
@@ -64,22 +63,6 @@ def same_outcome(a: ClaimResult, b: ClaimResult) -> bool:
     return (a.verdict, a.witness) == (b.verdict, b.witness)
 
 
-def break_gb33_35(monkeypatch) -> None:
-    """Make the GB33_35 kernel report a made-up witness for r = 1, not
-    applicable for r = 2, and degenerate for r = 3 when n1 < 20; no true
-    identity fails, so only this reaches the sweep's failure path."""
-    row = claims._REGISTRY[ClaimId.GB33_35]
-
-    def kernel(k, n1, n2, r):
-        if r == 1:
-            return f"{k}**{n1 - 1} - 1 = 7 (mod {n1 * n2})"
-        if r == 2:
-            return Verdict.NOT_APPLICABLE
-        return Verdict.DEGENERATE if n1 < 20 else row.kernel(k, n1, n2, r)
-
-    monkeypatch.setitem(claims._REGISTRY, ClaimId.GB33_35, row._replace(kernel=kernel))
-
-
 def t2_sides(k: int, n1: int, n2: int) -> tuple[bool, bool]:
     """The two sides of T2's biconditional, from the oracle and plain pow:
     n1*n2 is a base-k pseudoprime; n1 | k**n2 - k and n2 | k**n1 - k."""
@@ -95,10 +78,6 @@ def tallies_of(results, claim_ids) -> dict:
 
 
 class TestClaimResult:
-    def test_fails_requires_witness(self):
-        with pytest.raises(ValueError):
-            ClaimResult(ClaimId.T1, (("k", 2), ("n", 341)), Verdict.FAILS)
-
     def test_record_serialization(self):
         result = ClaimResult(
             ClaimId.T2, (("k", 2), ("n1", 11), ("n2", 31)), Verdict.HOLDS
@@ -430,8 +409,15 @@ class TestRunSuite:
         # tallies account for every result
         assert sum(sum(c.values()) for c in report.tallies.values()) == report.total
         # at least one claim of each family actually ran
-        for claim in ALL_CLAIMS:
+        for claim in ClaimId:
             assert sum(report.tallies[claim].values()) > 0, claim
+
+    def test_total_and_failure_count_follow_tallies_and_failures(self):
+        # the benchmark's seed-0 sweep: bases 2..7 up to 50,000
+        report = run_suite(SweepConfig(bases=(2, 3, 4, 5, 6, 7), max_n=50_000))
+        assert report.total == sum(map(sum, (c.values() for c in report.tallies.values())))
+        assert report.total == 157_107
+        assert report.failure_count == len(report.failures) == 0
 
     def test_t2_only_semiprime_sweep(self):
         report = run_suite(SweepConfig(bases=(2,), max_n=3000, claims=(ClaimId.T2,)))
@@ -480,13 +466,14 @@ class TestRunSuite:
         report = run_suite(SweepConfig(bases=(2, 3), max_n=3000))
         assert report.total > 0 and len(evaluated) == report.total
 
-    def test_failures_and_tallies_match_iter_suite(self, monkeypatch):
-        break_gb33_35(monkeypatch)
+    @pytest.mark.usefixtures("break_gb33_35")
+    def test_failures_and_tallies_match_iter_suite(self):
         config = SweepConfig(bases=(2, 3), max_n=3000)
         results = list(iter_suite(config))
         report = run_suite(config)
         failing = [r for r in results if r.verdict is Verdict.FAILS]
         assert failing and report.failures == tuple(failing)
+        assert report.failure_count == len(failing)
         assert report.tallies == tallies_of(results, config.claims)
         assert list(report.tallies) == list(config.claims)
         assert all(list(counts) == list(Verdict) for counts in report.tallies.values())
@@ -532,7 +519,7 @@ def oracle_suite(families):
         f = trial_factor(n)
         if len(f) == 2 and f[0] != f[1]:
             semiprimes.append((n, *f))
-    for claim in ALL_CLAIMS:
+    for claim in ClaimId:
         for k in ORACLE_BASES:
             every, two, three = families[k]
             if claim is ClaimId.T1:
@@ -604,7 +591,7 @@ class TestSweepOracle:
         # needs its own comparison with the public checks
         report = run_suite(SweepConfig(bases=ORACLE_BASES, max_n=ORACLE_LIMIT))
         expected = list(oracle_suite(oracle_families))
-        assert report.tallies == tallies_of(expected, ALL_CLAIMS)
+        assert report.tallies == tallies_of(expected, ClaimId)
         assert report.total == len(expected)
         assert report.failures == ()
 
@@ -638,7 +625,7 @@ class TestRecordText:
     def test_every_params_string_is_plain_ascii(self):
         config = SweepConfig(bases=(2, 3), max_n=3000, rs_min=-3, rs_max=3)
         records = [result.as_record() for result in iter_suite(config)]
-        assert {record["claim_id"] for record in records} == {c.value for c in ALL_CLAIMS}
+        assert {record["claim_id"] for record in records} == {c.value for c in ClaimId}
         assert all(plain_ascii(record["params"]) for record in records)
 
 
@@ -674,7 +661,7 @@ class TestVerdictOracle:
             assert result.verdict.value == naive_claim_verdict(result.claim.value, *args), result
 
     @pytest.mark.parametrize(
-        "claim", [c for c in ALL_CLAIMS if c is not ClaimId.T2], ids=lambda c: c.value
+        "claim", [c for c in ClaimId if c is not ClaimId.T2], ids=lambda c: c.value
     )
     def test_non_pseudoprimes_are_not_applicable(self, claim):
         check, valid, _, _ = PUBLIC_CHECKS[claim]
@@ -693,7 +680,7 @@ class TestVerdictOracle:
                 assert naive_claim_verdict(claim.value, *args) == "not_applicable", args
 
 
-@pytest.mark.parametrize("claim", ALL_CLAIMS, ids=lambda c: c.value)
+@pytest.mark.parametrize("claim", ClaimId, ids=lambda c: c.value)
 def test_public_check_validation(claim):
     check, valid, at_least_one, any_integer = PUBLIC_CHECKS[claim]
     result = check(*valid)

@@ -16,8 +16,11 @@ MODULES = (arith, circlemap, claims, pseudoprimes)
 # removed public names, by the module that defined them
 REMOVED = {
     arith: ("gcd", "mod_pow", "odd_composite_segments", "Factorization"),
-    circlemap: ("step", "enumeration_cap", "ENUM_CAP_ENV", "PeriodSpectrum", "LatticePoint"),
-    claims: ("t2_sides", "CLAIM_DESCRIPTIONS"),
+    circlemap: (
+        "step", "enumeration_cap", "ENUM_CAP_ENV", "PeriodSpectrum", "LatticePoint",
+        "DEFAULT_ENUMERATION_CAP", "DEFAULT_MODULUS_BIT_BUDGET",
+    ),
+    claims: ("t2_sides", "CLAIM_DESCRIPTIONS", "ALL_CLAIMS"),
     pseudoprimes: ("PseudoprimeRecord", "fermat_congruence_holds", "make_record"),
 }
 
@@ -31,6 +34,7 @@ REMOVED_KEYWORDS = (
     (circlemap.enumerate_orbits, "cap"),
     (circlemap.exact_period, "point"),
     (claims.SuiteReport, "config"),
+    (claims.SuiteReport, "total"),
 )
 
 README = Path(__file__).resolve().parent.parent / "README.md"
