@@ -12,11 +12,13 @@ Checks report a verdict instead of raising on data-dependent conditions:
   outside the identity's stated domain (k**0 - 1 = 0 is divisible by
   everything and would silently mask range errors).  Only GC39_42 and
   GE43 can reach it, through r or s below 1.
-* ``not_applicable`` - the pseudoprime precondition is unmet, reported
-  separately from ``fails`` so sweeps need no pre-filtering.
+* ``not_applicable`` - the pseudoprime precondition is unmet, or for T2
+  the base shares a factor with n1*n2, reported separately from ``fails``
+  so sweeps need no pre-filtering.
 
 Structurally invalid inputs (a non-prime factor, repeated factors, a base
-below 2, an auxiliary parameter outside its domain) raise ValueError.
+below 2, an auxiliary parameter outside its domain, a factor 2 for T2)
+raise ValueError.
 
 Each claim is one registry row: where its factor tuples come from, its
 auxiliary parameters with their domains, and a private kernel that only
@@ -284,18 +286,14 @@ def check_T1(k: int, n: int) -> ClaimResult:
 def check_T2(k: int, n1: int, n2: int) -> ClaimResult:
     """n1*n2 is a base-k pseudoprime iff n1 | k**n2 - k and n2 | k**n1 - k.
 
-    n1 and n2 must be distinct odd primes coprime to k.  2 is rejected
-    because an even product can never be a pseudoprime (they are odd by
-    definition) while the right-hand divisibilities can still hold, so
-    the biconditional is only a theorem over odd factors.
+    n1 and n2 must be distinct odd primes: an even product is never a
+    pseudoprime (they are odd by definition) while the right-hand
+    divisibilities can still hold, so the biconditional is only a theorem
+    over odd factors.  A base sharing a factor with n1*n2 is not_applicable.
     """
     _require_base_and_primes(k, n1, n2)
     if 2 in (n1, n2):
         raise ValueError("factors must be odd primes; even products are never pseudoprimes")
-    n = n1 * n2
-    g = gcd(k, n)
-    if g != 1:
-        raise ValueError(f"base must be coprime to n1*n2, gcd({k}, {n}) = {g}")
     return _result(ClaimId.T2, ("k", "n1", "n2"), (k, n1, n2), _t2(k, n1, n2))
 
 

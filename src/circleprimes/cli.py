@@ -32,32 +32,22 @@ FORMATS = ("plain", "json", "csv")
 
 
 def _int_at_least(minimum: int):
-    def parse(text: str) -> int:
-        value = _any_int(text)
+    # argparse names the function in its error: "invalid integer value: 'x'"
+    def integer(text: str) -> int:
+        value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
         return value
 
-    return parse
-
-
-def _any_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    return integer
 
 
 def _claim_list(text: str) -> tuple[ClaimId, ...]:
-    ids = []
-    by_value = {c.value: c for c in ClaimId}
-    for token in text.split(","):
-        token = token.strip()
-        if token not in by_value:
-            known = ", ".join(sorted(by_value))
-            raise argparse.ArgumentTypeError(f"unknown claim {token!r}; known: {known}")
-        ids.append(by_value[token])
-    return tuple(ids)
+    try:
+        return tuple(ClaimId(token.strip()) for token in text.split(","))
+    except ValueError as exc:  # "'BOGUS' is not a valid ClaimId"
+        known = ", ".join(claim.value for claim in ClaimId)
+        raise argparse.ArgumentTypeError(f"{exc}; known: {known}") from None
 
 
 def _emit_rows(rows: Iterable[dict], fields: tuple[str, ...], fmt: str, plain) -> None:
@@ -221,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"base k; repeatable (default: {', '.join(map(str, SweepConfig.bases))})")
     p.add_argument("--max-n", type=_int_at_least(1), default=SweepConfig.max_n,
                    help="sweep pseudoprimes up to this bound")
-    p.add_argument("--rs-min", type=_any_int, default=SweepConfig.rs_min)
-    p.add_argument("--rs-max", type=_any_int, default=SweepConfig.rs_max)
+    p.add_argument("--rs-min", type=int, default=SweepConfig.rs_min)
+    p.add_argument("--rs-max", type=int, default=SweepConfig.rs_max)
     p.add_argument("--qpmj-max", type=_int_at_least(1), default=SweepConfig.qpmj_max)
     p.add_argument("--claims", type=_claim_list, default=None,
                    help="comma-separated claim ids (default: all)")

@@ -127,9 +127,13 @@ class TestT2:
         with pytest.raises(ValueError):
             check_T2(2, 11, 11)
 
-    def test_rejects_shared_base_factor(self):
-        with pytest.raises(ValueError):
-            check_T2(3, 3, 11)
+    def test_shared_base_factor_is_not_applicable(self):
+        # the biconditional needs a base coprime to n1*n2; the sweep and
+        # the public check both report a shared factor as not applicable
+        for args in ((3, 3, 11), (6, 3, 7)):
+            result = check_T2(*args)
+            assert result.verdict is Verdict.NOT_APPLICABLE and result.witness is None
+            assert naive_claim_verdict("T2", *args) == "not_applicable"
 
     def test_rejects_factor_two(self):
         # 7**3 - 7 is even and 3 | 7**2 - 7, yet 42 is not a pseudoprime:
@@ -145,9 +149,9 @@ class TestT2:
                 if n > 2000:
                     break
                 for k in range(2, 21):
-                    if gcd(k, n) != 1:
-                        continue
-                    assert check_T2(k, p, q).verdict is Verdict.HOLDS, (k, p, q)
+                    coprime = gcd(k, n) == 1
+                    expected = Verdict.HOLDS if coprime else Verdict.NOT_APPLICABLE
+                    assert check_T2(k, p, q).verdict is expected, (k, p, q)
 
     def test_both_true_cases_are_exactly_the_semiprime_pseudoprimes(self):
         limit = 3000
@@ -399,6 +403,16 @@ class TestRunSuite:
         assert report.total == 0
         assert report.failure_count == 0
 
+    def test_clamped_rs_range_that_comes_out_empty(self):
+        # r >= 1 clamps [-2, 0] to nothing for GA28_32 and GB33_35, while
+        # GC39_42 and GE43 sweep every r, s in it and degenerate at each
+        report = run_suite(SweepConfig(bases=(2, 3), max_n=3000, rs_min=-2, rs_max=0))
+        tallies = report.tallies
+        assert sum(tallies[ClaimId.GA28_32].values()) == sum(tallies[ClaimId.GB33_35].values()) == 0
+        assert tallies[ClaimId.GC39_42] == {**dict.fromkeys(Verdict, 0), Verdict.DEGENERATE: 99}
+        assert tallies[ClaimId.GE43] == {**dict.fromkeys(Verdict, 0), Verdict.DEGENERATE: 891}
+        assert report.failure_count == 0
+
     def test_small_sweep_zero_failures(self):
         config = SweepConfig(
             bases=(2, 3), max_n=2000, rs_min=-2, rs_max=2, qpmj_max=2
@@ -518,7 +532,7 @@ def oracle_suite(families):
     for n in range(15, ORACLE_LIMIT + 1, 2):
         f = trial_factor(n)
         if len(f) == 2 and f[0] != f[1]:
-            semiprimes.append((n, *f))
+            semiprimes.append(f)
     for claim in ClaimId:
         for k in ORACLE_BASES:
             every, two, three = families[k]
@@ -526,14 +540,8 @@ def oracle_suite(families):
                 for n in every:
                     yield check_T1(k, n)
             elif claim is ClaimId.T2:
-                for n, p, q in semiprimes:
-                    if gcd(k, n) == 1:
-                        yield check_T2(k, p, q)
-                    else:
-                        with pytest.raises(ValueError):
-                            check_T2(k, p, q)
-                        params = (("k", k), ("n1", p), ("n2", q))
-                        yield ClaimResult(ClaimId.T2, params, Verdict.NOT_APPLICABLE)
+                for p, q in semiprimes:
+                    yield check_T2(k, p, q)
             elif claim is ClaimId.R24_27:
                 for p, q in two:
                     yield check_R24_27(k, p, q)

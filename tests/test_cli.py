@@ -8,9 +8,12 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import circleprimes.claims as claims
 import circleprimes.cli as cli
@@ -22,6 +25,7 @@ from circleprimes.claims import (
     SweepConfig,
     Verdict,
     iter_suite,
+    run_suite,
 )
 from circleprimes.cli import main
 from circleprimes.pseudoprimes import is_carmichael
@@ -287,6 +291,34 @@ class TestVerifyCommand:
     def test_unknown_claim_usage_error(self, capsys):
         assert usage_error_code(capsys, "verify", "--claims", "BOGUS") == 2
 
+    @pytest.mark.parametrize("option, value, named", [
+        ("--claims", "T1,BOGUS", "argument --claims: 'BOGUS' is not a valid ClaimId; known: T1, T2,"),
+        ("--rs-min", "x", "argument --rs-min: invalid int value: 'x'"),
+        ("--max-n", "x", "argument --max-n: invalid integer value: 'x'"),
+    ])
+    def test_bad_value_names_its_option_and_token(self, capsys, option, value, named):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", option, value])
+        assert err.value.code == 2
+        assert named in capsys.readouterr().err
+
+    def test_claim_list_tokens_are_stripped_and_canonically_ordered(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--claims", " T2 , T1", "--max-n", "300")
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()[:-1]] == ["T1", "T2"]
+
+    def test_clamped_empty_rs_range_exits_zero(self, capsys):
+        # --rs-max 0 leaves GA28_32 and GB33_35 (r >= 1) no tuple, and every
+        # GC39_42 and GE43 tuple degenerate
+        code, out, _ = run_cli(
+            capsys, "verify", "--rs-max", "0", "--max-n", "3000", "--format", "json"
+        )
+        assert code == 0
+        rows = {row["claim_id"]: row for row in parse_json_lines(out)}
+        assert rows["GA28_32"]["checked"] == rows["GB33_35"]["checked"] == 0
+        for claim in ("GC39_42", "GE43"):
+            assert rows[claim]["checked"] == rows[claim]["degenerate"] > 0
+
     def test_records_stream(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--base", "2", "--max-n", "700", "--records"
@@ -478,3 +510,64 @@ class TestDeterminism:
         code2, out2, _ = run_cli(capsys, *argv)
         assert code1 == code2 == 0
         assert out1.encode() == out2.encode()
+
+
+def verify_stdout(config: SweepConfig, fmt: str) -> tuple[int, str]:
+    """verify --records on config's ranges: its exit code and stdout."""
+    argv = ["verify", "--records", "--format", fmt, f"--max-n={config.max_n}",
+            f"--rs-min={config.rs_min}", f"--rs-max={config.rs_max}",
+            f"--qpmj-max={config.qpmj_max}", "--claims", ",".join(c.value for c in config.claims)]
+    for base in config.bases:
+        argv += ["--base", str(base)]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    return code, out.getvalue()
+
+
+class TestSweepReaders:
+    # iter_suite, run_suite and verify --records each decode the kernel
+    # outcomes (None, a Verdict or a witness) in their own loop
+
+    @seed(20170401)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        bases=st.sets(st.integers(2, 13), min_size=1, max_size=3),
+        max_n=st.integers(1, 1500),
+        rs=st.lists(st.integers(-3, 3), min_size=2, max_size=2).map(sorted),
+        qpmj_max=st.integers(1, 2),
+        chosen=st.sets(st.sampled_from(ClaimId), min_size=1),
+        broken=st.booleans(),
+    )
+    def test_readers_agree(self, gb33_35_breaker, bases, max_n, rs, qpmj_max, chosen, broken):
+        config = SweepConfig(bases=tuple(bases), max_n=max_n, rs_min=rs[0], rs_max=rs[1],
+                             qpmj_max=qpmj_max, claims=tuple(chosen))
+        with pytest.MonkeyPatch.context() as patch:
+            if broken:
+                gb33_35_breaker(patch)
+            results = list(iter_suite(config))
+            report = run_suite(config)
+            printed = {fmt: verify_stdout(config, fmt) for fmt in cli.FORMATS}
+
+        failing = tuple(r for r in results if r.verdict is Verdict.FAILS)
+        counts = Counter((r.claim, r.verdict) for r in results)
+        assert report.failures == failing
+        assert report.tallies == {
+            claim: {verdict: counts[claim, verdict] for verdict in Verdict}
+            for claim in config.claims
+        }
+        records = [r.as_record() for r in results]
+        expected_csv = io.StringIO()
+        writer = csv.writer(expected_csv, lineterminator="\n")
+        writer.writerow(["claim_id", "params", "verdict", "witness"])
+        writer.writerows(record.values() for record in records)
+        expected = {
+            "json": "".join(json.dumps(record) + "\n" for record in records),
+            "csv": expected_csv.getvalue(),
+            "plain": "".join(
+                f"{r['claim_id']} {r['params']} {r['verdict']}"
+                + (f" witness: {r['witness']}" if r["witness"] else "") + "\n"
+                for r in records
+            ),
+        }
+        code = 1 if failing else 0
+        assert printed == {fmt: (code, expected[fmt]) for fmt in cli.FORMATS}
